@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.storage.cas import BlobCatalog
 from repro.storage.heap import RecordHeap
 from repro.storage.log import MARK_SUFFIX
-from repro.storage.serializer import decode_value, encode_value
+from repro.storage.serializer import decode_value, encode_value, gc_paused
 from repro.tools.metrics import GRAPH
 
 __all__ = ["GraphStore", "GraphDirectory"]
@@ -303,7 +303,14 @@ class GraphDirectory:
                           rescue_header=True)
 
     def append_snapshot(self, store: GraphStore) -> int:
-        """Append a full snapshot to the heap; returns its record id."""
+        """Append a full snapshot to the heap; returns its record id.
+
+        Unlike a load, this does not pause the collector: the snapshot's
+        objects die as soon as they are encoded, and pausing through
+        their allocation would skip the full collections that reclaim
+        the cyclic garbage of the commits between checkpoints (measured
+        at +8 MB peak RSS on the ``collab-fanout`` benchmark workload).
+        """
         with self._open_heap() as heap:
             record_id = heap.append(encode_value(store.to_snapshot()))
             heap.sync()
@@ -316,7 +323,9 @@ class GraphDirectory:
         paying for a full :class:`GraphStore` rebuild.
         """
         with self._open_heap() as heap:
-            snapshot = decode_value(heap.read(record_id))
+            payload = heap.read(record_id)
+        with gc_paused():
+            snapshot = decode_value(payload)
         if not isinstance(snapshot, dict):
             raise StorageError(
                 f"{self.snapshots_path}: malformed snapshot record")
@@ -324,4 +333,6 @@ class GraphDirectory:
 
     def load_snapshot(self, record_id: int) -> GraphStore:
         """Load the snapshot stored at ``record_id``."""
-        return GraphStore.from_snapshot(self.load_snapshot_record(record_id))
+        with gc_paused():
+            return GraphStore.from_snapshot(
+                self.load_snapshot_record(record_id))

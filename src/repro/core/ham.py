@@ -713,12 +713,13 @@ class HAM:
         if self._directory is None:
             raise StorageError(
                 "ephemeral graphs cannot be replicated (no durable log)")
-        with self._state_lock:  # excludes a concurrent checkpoint
+        from repro.storage.cas import strip_snapshot_blobs
+        from repro.storage.serializer import encode_value, gc_paused
+        with self._state_lock, gc_paused():  # excludes a checkpoint
             log = self._log
             anchor = self._epoch_anchor()
             store = self._directory.load_snapshot(anchor)
             meta = self._directory.read_meta()
-            from repro.storage.serializer import encode_value
             reply = {
                 "lsn": log.base_lsn,
                 "epoch": log.epoch,
@@ -729,7 +730,6 @@ class HAM:
             if have is None:
                 reply["snapshot"] = encode_value(snapshot)
                 return reply
-            from repro.storage.cas import strip_snapshot_blobs
             blobs = strip_snapshot_blobs(snapshot)
             held = {bytes(digest) for digest in have}
             reply["snapshot"] = encode_value(snapshot)

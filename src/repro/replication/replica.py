@@ -52,7 +52,12 @@ from repro.storage.log import (
     LogRecordKind,
     WriteAheadLog,
 )
-from repro.storage.serializer import RECORD_HEADER, decode_value, unpack_record
+from repro.storage.serializer import (
+    RECORD_HEADER,
+    decode_value,
+    gc_paused,
+    unpack_record,
+)
 from repro.testing import faults
 from repro.tools.metrics import REPLICATION
 from repro.txn.writeset import WriteSet
@@ -135,31 +140,33 @@ class Replica:
         locally held ``have`` pool second.  Legacy whole-snapshot
         replies pass straight through.
         """
-        snapshot = decode_value(snap["snapshot"])
-        shipped = {bytes(digest): bytes(payload)
-                   for digest, payload in (snap.get("blobs") or [])}
-        transferred = len(snap["snapshot"]) + sum(
-            len(digest) + len(payload)
-            for digest, payload in shipped.items())
-        reused = 0
-        if snap.get("manifest") is not None:
-            reused = sum(1 for digest in snap["manifest"]
-                         if bytes(digest) not in shipped)
+        with gc_paused():
+            snapshot = decode_value(snap["snapshot"])
+            shipped = {bytes(digest): bytes(payload)
+                       for digest, payload in (snap.get("blobs") or [])}
+            transferred = len(snap["snapshot"]) + sum(
+                len(digest) + len(payload)
+                for digest, payload in shipped.items())
+            reused = 0
+            if snap.get("manifest") is not None:
+                reused = sum(1 for digest in snap["manifest"]
+                             if bytes(digest) not in shipped)
 
-            def lookup(digest: bytes) -> bytes | None:
-                payload = shipped.get(digest)
-                if payload is None:
-                    payload = have.get(digest)
-                return payload
+                def lookup(digest: bytes) -> bytes | None:
+                    payload = shipped.get(digest)
+                    if payload is None:
+                        payload = have.get(digest)
+                    return payload
 
-            inflate_snapshot_blobs(snapshot, lookup)
+                inflate_snapshot_blobs(snapshot, lookup)
+            store = GraphStore.from_snapshot(snapshot)
         self.bootstrap_bytes = transferred
         self.bootstrap_blobs_shipped = len(shipped)
         self.bootstrap_blobs_reused = reused
         REPLICATION.record("bootstrap_bytes", transferred)
         REPLICATION.record("bootstrap_blobs_shipped", len(shipped))
         REPLICATION.record("bootstrap_blobs_reused", reused)
-        return GraphStore.from_snapshot(snapshot)
+        return store
 
     def _bootstrap(self) -> None:
         have = self._harvest_local_blobs()

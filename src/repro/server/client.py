@@ -704,8 +704,10 @@ class RemoteHAM:
 
         A clean timeout (no byte of a frame consumed — see
         :func:`repro.server.protocol.read_message`) means "no pushes
-        right now".  A dead connection tears down quietly; the next
-        pump reconnects, which re-subscribes every live watch.
+        right now".  ``timeout <= 0`` never waits for a frame to start:
+        one readiness check, then a read of the frame already arriving.
+        A dead connection tears down quietly; the next pump reconnects,
+        which re-subscribes every live watch.
         """
         with self._lock:
             if self._closed:
@@ -716,7 +718,12 @@ class RemoteHAM:
                 RESILIENCE.increment("reconnects")
                 return True  # resubscribe replay may have routed frames
             try:
-                self._sock.settimeout(max(timeout, 0.001))
+                if timeout > 0.0:
+                    self._sock.settimeout(timeout)
+                elif select.select([self._sock], [], [], 0.0)[0]:
+                    self._sock.settimeout(self._timeout)
+                else:
+                    return False
                 message = read_message(self._sock)
             except TimeoutError:
                 return False
@@ -803,8 +810,9 @@ class RemoteWatch:
         """Next event dict, or None when ``timeout`` elapses.
 
         ``timeout=None`` blocks until an event arrives or the feed
-        fails.  Buffered events are always drained before a cancel or
-        gap raises.
+        fails; ``timeout=0`` returns a push that has already arrived
+        without waiting for one that has not.  Buffered events are
+        always drained before a cancel or gap raises.
         """
         deadline = (None if timeout is None
                     else _time.monotonic() + (timeout or 0.0))
@@ -818,9 +826,7 @@ class RemoteWatch:
             if deadline is None:
                 wait = 0.25
             else:
-                wait = deadline - _time.monotonic()
-                if wait < 0.0:
-                    return None
+                wait = max(deadline - _time.monotonic(), 0.0)
             self._client._pump_push(min(wait, 0.25))
             if (deadline is not None and not self._buffer
                     and _time.monotonic() >= deadline):

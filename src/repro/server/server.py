@@ -518,7 +518,13 @@ class HAMServer:
     # lifecycle
 
     def start(self) -> "HAMServer":
-        """Start the I/O loop and worker pool in background threads."""
+        """Start the I/O loop and worker pool in background threads.
+
+        Idempotent: ``GraphHost.serve()`` returns a started server, and
+        entering it as a context manager starts it again.
+        """
+        if self._io_thread is not None:
+            return self
         self._running = True
         self._selector.register(self._listener, selectors.EVENT_READ,
                                 _LISTENER)

@@ -70,6 +70,29 @@ class TestGraphHost:
         assert reopened.open_node(node)[0] == b"kept\n"
         reopened.close()
 
+    def test_serve_as_documented_context_manager(self, tmp_path):
+        root = tmp_path / "graphs"
+        with GraphHost(root) as host, host.serve() as server:
+            project_id, __ = host.create_graph("design")
+            ham = host.open_graph(project_id, "design")
+            node, time = ham.add_node()
+            ham.modify_node(node=node, expected_time=time,
+                            contents=b"served\n")
+            with RemoteHAM(*server.address) as client:
+                client.host_open_graph(project_id, "design")
+                assert client.open_node(node)[0] == b"served\n"
+        assert not any(thread.is_alive() for thread in server.threads())
+
+    def test_server_start_is_idempotent(self):
+        server = HAMServer(ham=HAM.ephemeral())
+        try:
+            assert server.start() is server
+            workers = server.threads()
+            assert server.start() is server
+            assert server.threads() == workers
+        finally:
+            server.stop()
+
     def test_server_requires_exactly_one_mode(self, tmp_path):
         with pytest.raises(ValueError):
             HAMServer()

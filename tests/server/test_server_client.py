@@ -1,5 +1,6 @@
 """Integration tests: RemoteHAM against a live HAMServer."""
 
+import select
 import threading
 import time as _time
 
@@ -280,3 +281,25 @@ class TestLongPollDetachment:
             subscriber.close()
             server.stop()
             ham.close()
+
+
+class TestRemoteWatchPoll:
+    def test_poll_zero_returns_a_push_already_received(self, served):
+        ham, __, client = served
+        with client.watch() as watch:
+            node, ___ = ham.add_node()
+            # Wait until the pushed frame sits in the socket buffer.
+            readable, ____, _____ = select.select([client._sock], [], [],
+                                                  5.0)
+            assert readable, "the push never arrived"
+            event = watch.poll(0)
+            assert event is not None
+            assert event["node"] == node
+
+    def test_poll_zero_on_an_idle_feed_does_not_wait(self, served):
+        __, ___, client = served
+        with client.watch() as watch:
+            started = _time.monotonic()
+            for ____ in range(20):
+                assert watch.poll(0) is None
+            assert _time.monotonic() - started < 0.25
