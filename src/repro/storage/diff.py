@@ -10,7 +10,9 @@ of an edit lets us reconstruct the older version from the newer one).
 Diffs operate on token sequences.  Node contents are uninterpreted bytes at
 the HAM level, so the default tokenization splits on newlines when the data
 looks line-structured and falls back to fixed-size byte chunks otherwise —
-mirroring how RCS-style tools behave on text versus binary data.
+mirroring how RCS-style tools behave on text versus binary data.  Line
+diffs find the common leading and trailing lines on the raw bytes and
+split only what lies between, so a check-in costs its edit, not its file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ __all__ = [
 
 #: Chunk size used when diffing binary (non line-structured) data.
 _BINARY_CHUNK = 64
+
+#: Largest edit distance (tokens inserted plus deleted) the Myers search
+#: explores.  Its cost grows with the square of the distance, so two
+#: unrelated bodies would take hundreds of milliseconds; past the bound
+#: the span between the common prefix and suffix is recorded as one
+#: replacement.  Every check-in of the standing benchmark stays below 140.
+_MAX_EDITS = 256
 
 
 class DiffKind(enum.Enum):
@@ -78,74 +87,104 @@ class Difference:
         return len(self.new)
 
 
-def _myers_matches(
+def _myers_snakes(
     old: Sequence[Hashable],
     new: Sequence[Hashable],
-    obase: int,
-    nbase: int,
-    out: list[tuple[int, int]],
-) -> None:
-    """Collect matched ``(old_index, new_index)`` pairs along a shortest
-    edit path, using Myers' greedy algorithm with a recorded trace.
+) -> list[tuple[int, int, int]]:
+    """Runs of matched tokens along a shortest edit path, using Myers'
+    greedy algorithm with a recorded trace.
 
-    Appended pairs are strictly increasing in both coordinates, offset by
-    ``obase``/``nbase``.
+    Each run is ``(old_index, new_index, length)``; runs are strictly
+    increasing in both coordinates.  Returns no runs at all when the
+    edit distance exceeds :data:`_MAX_EDITS`.
     """
     n, m = len(old), len(new)
     if n == 0 or m == 0:
-        return
-    # Forward pass: v[k] is the furthest x on diagonal k after d edits.
-    trace: list[dict[int, int]] = []
-    v: dict[int, int] = {1: 0}
-    found_d = -1
-    for d in range(n + m + 1):
-        trace.append(dict(v))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v.get(k - 1, -1) < v.get(k + 1, -1)):
-                x = v.get(k + 1, 0)
+        return []
+    max_d = min(n + m, _MAX_EDITS)
+    # Forward pass: v[off + k] is the furthest x on diagonal k after d
+    # edits; rounds[d] keeps that frontier for diagonals -d, -d+2, ..., d.
+    off = max_d + 1
+    v = [0] * (2 * off + 1)
+    rounds: list[list[int]] = []
+    for d in range(max_d + 1):
+        lo = off - d
+        hi = off + d
+        for i in range(lo, hi + 1, 2):
+            if i == lo or (i != hi and v[i - 1] < v[i + 1]):
+                x = v[i + 1]
             else:
-                x = v.get(k - 1, 0) + 1
-            y = x - k
+                x = v[i - 1] + 1
+            y = x - i + off
             while x < n and y < m and old[x] == new[y]:
                 x += 1
                 y += 1
-            v[k] = x
+            v[i] = x
             if x >= n and y >= m:
-                found_d = d
-                break
-        if found_d >= 0:
-            break
-    # Backward pass: walk the trace from (n, m) back to (0, 0), emitting
-    # the diagonal (snake) moves, which are the matched token pairs.
-    matches_rev: list[tuple[int, int]] = []
+                return _backtrack(rounds, d, n, m)
+        rounds.append(v[lo:hi + 1:2])
+    return []
+
+
+def _backtrack(
+    rounds: list[list[int]], found_d: int, n: int, m: int,
+) -> list[tuple[int, int, int]]:
+    """Walk the Myers trace from ``(n, m)`` back to the origin, collecting
+    the diagonal runs (snakes) — the matched tokens — in forward order."""
+    snakes: list[tuple[int, int, int]] = []
     x, y = n, m
     for d in range(found_d, 0, -1):
-        vd = trace[d]
+        frontier = rounds[d - 1]
         k = x - y
-        if k == -d or (k != d and vd.get(k - 1, -1) < vd.get(k + 1, -1)):
-            prev_k = k + 1
+        up = (k + d) // 2  # frontier index of diagonal k + 1
+        if k == -d or (k != d and frontier[up - 1] < frontier[up]):
+            # Insertion of new[prev_y] from diagonal k + 1.
+            prev_x = frontier[up]
+            prev_y = prev_x - k - 1
+            run = min(x - prev_x, y - prev_y - 1)
         else:
-            prev_k = k - 1
-        prev_x = vd.get(prev_k, 0)
-        prev_y = prev_x - prev_k
-        # One edit moves (prev_x, prev_y) to (mid_x, mid_y); the snake
-        # (diagonal run of matches) then reaches (x, y).
-        if prev_k == k + 1:
-            mid_x, mid_y = prev_x, prev_y + 1  # insertion of new[prev_y]
-        else:
-            mid_x, mid_y = prev_x + 1, prev_y  # deletion of old[prev_x]
-        while x > mid_x and y > mid_y:
-            matches_rev.append((x - 1, y - 1))
-            x -= 1
-            y -= 1
+            # Deletion of old[prev_x] from diagonal k - 1.
+            prev_x = frontier[up - 1]
+            prev_y = prev_x - k + 1
+            run = min(x - prev_x - 1, y - prev_y)
+        if run > 0:
+            snakes.append((x - run, y - run, run))
         x, y = prev_x, prev_y
-    # d == 0 tail: pure snake from the origin.
-    while x > 0 and y > 0:
-        matches_rev.append((x - 1, y - 1))
-        x -= 1
-        y -= 1
-    for i, j in reversed(matches_rev):
-        out.append((obase + i, nbase + j))
+    # d == 0: a pure snake from the origin.
+    run = min(x, y)
+    if run > 0:
+        snakes.append((x - run, y - run, run))
+    snakes.reverse()
+    return snakes
+
+
+def _script(
+    old: Sequence[Hashable],
+    new: Sequence[Hashable],
+    base: int,
+) -> list[Difference]:
+    """The difference script between two trimmed cores whose first tokens
+    sit at position ``base`` of the untrimmed old sequence.
+
+    Past :data:`_MAX_EDITS` the Myers search finds no runs, so the whole
+    core becomes one edit.
+    """
+    script: list[Difference] = []
+    oi = ni = 0
+    for mi, mj, run in _myers_snakes(old, new) + [(len(old), len(new), 0)]:
+        if mi > oi:
+            removed = tuple(old[oi:mi])
+            if mj > ni:
+                script.append(Difference(
+                    DiffKind.REPLACE, base + oi, removed, tuple(new[ni:mj])))
+            else:
+                script.append(
+                    Difference(DiffKind.DELETE, base + oi, removed, ()))
+        elif mj > ni:
+            script.append(Difference(
+                DiffKind.INSERT, base + oi, (), tuple(new[ni:mj])))
+        oi, ni = mi + run, mj + run
+    return script
 
 
 def diff_sequences(
@@ -156,12 +195,14 @@ def diff_sequences(
 
     The script is a list of :class:`Difference` ordered by position in the
     old sequence, with non-overlapping edits; adjacent delete+insert pairs
-    are fused into a single :data:`DiffKind.REPLACE`.
+    are fused into a single :data:`DiffKind.REPLACE`.  It is minimal while
+    the edit distance stays within :data:`_MAX_EDITS`; beyond that, the
+    span between the common prefix and suffix is one replacement.
     """
     old = list(old)
     new = list(new)
     # Trim the common prefix/suffix first: cheap and it keeps the Myers
-    # recursion small for the typical append/patch edit.
+    # search small for the typical append/patch edit.
     pre = 0
     limit = min(len(old), len(new))
     while pre < limit and old[pre] == new[pre]:
@@ -172,30 +213,7 @@ def diff_sequences(
         and old[len(old) - 1 - suf] == new[len(new) - 1 - suf]
     ):
         suf += 1
-    core_old = old[pre:len(old) - suf]
-    core_new = new[pre:len(new) - suf]
-
-    core_matches: list[tuple[int, int]] = []
-    _myers_matches(core_old, core_new, pre, pre, out=core_matches)
-    matches = (
-        [(k, k) for k in range(pre)]
-        + core_matches
-        + [(len(old) - suf + k, len(new) - suf + k) for k in range(suf)]
-    )
-
-    script: list[Difference] = []
-    oi = ni = 0
-    for mi, mj in matches + [(len(old), len(new))]:
-        removed = tuple(old[oi:mi])
-        added = tuple(new[ni:mj])
-        if removed and added:
-            script.append(Difference(DiffKind.REPLACE, oi, removed, added))
-        elif removed:
-            script.append(Difference(DiffKind.DELETE, oi, removed, ()))
-        elif added:
-            script.append(Difference(DiffKind.INSERT, oi, (), added))
-        oi, ni = mi + 1, mj + 1
-    return script
+    return _script(old[pre:len(old) - suf], new[pre:len(new) - suf], pre)
 
 
 def _split_tokens(data: bytes) -> tuple[list[bytes], bool]:
@@ -213,10 +231,98 @@ def _split_tokens(data: bytes) -> tuple[list[bytes], bool]:
     return tokens, False
 
 
+def _common_head(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:  # invariant: a[:lo] == b[:lo]; only the window is copied
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _common_tail(a: bytes, b: bytes, limit: int) -> int:
+    """Length of the longest common suffix of ``a`` and ``b``, at most
+    ``limit``."""
+    la, lb = len(a), len(b)
+    lo, hi = 0, limit
+    while lo < hi:  # invariant: a[la - lo:] == b[lb - lo:]
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[la - mid:la - lo], lb - mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _line_head(old: bytes, new: bytes) -> int:
+    """Byte length of the longest run of leading lines both share.
+
+    Lines are the tokens of ``bytes.splitlines(keepends=True)``: each
+    ends after ``\\n``, ``\\r\\n``, or a ``\\r`` not followed by ``\\n``.
+    """
+    p = _common_head(old, new)
+    if p == 0:
+        return 0
+    last = old[p - 1]
+    # A line break ending the common bytes ends a shared line — unless it
+    # is a \r that pairs with a \n on one side only.
+    if last == 10 or (last == 13 and old[p:p + 1] != b"\n"
+                      and new[p:p + 1] != b"\n"):
+        return p
+    # Otherwise the divergent line starts after the last break before it.
+    nl = old.rfind(b"\n", 0, p - 1)
+    cr = old.rfind(b"\r", nl + 1, p - 1)
+    return max(nl, cr) + 1
+
+
+def _starts_line(data: bytes, pos: int, head: int) -> bool:
+    """True when a line of ``data[head:]`` starts at ``pos < len(data)``."""
+    return (pos == head or data[pos - 1] == 10
+            or (data[pos - 1] == 13 and data[pos] != 10))
+
+
+def _line_tail(old: bytes, new: bytes, head: int) -> int:
+    """Byte length of the longest run of trailing lines ``old[head:]`` and
+    ``new[head:]`` share (line tokens as in :func:`_line_head`)."""
+    q = _common_tail(old, new, min(len(old), len(new)) - head)
+    if q == 0:
+        return 0
+    start = len(old) - q
+    if _starts_line(old, start, head) and _starts_line(new, len(new) - q,
+                                                       head):
+        return q
+    # Inside the common bytes both sides break lines alike: the shared
+    # run starts after the first break.
+    nl = old.find(b"\n", start)
+    cr = old.find(b"\r", start, nl if nl >= 0 else len(old))
+    if cr >= 0:
+        end = cr + 2 if old[cr + 1:cr + 2] == b"\n" else cr + 1
+    elif nl >= 0:
+        end = nl + 1
+    else:
+        return 0
+    return len(old) - end
+
+
 def diff_lines(old: bytes, new: bytes) -> list[Difference]:
-    """Diff two byte strings line-by-line (newlines kept on tokens)."""
-    return diff_sequences(old.splitlines(keepends=True),
-                          new.splitlines(keepends=True))
+    """Diff two byte strings line-by-line (newlines kept on tokens).
+
+    The script equals ``diff_sequences`` over both sides'
+    ``splitlines(keepends=True)``, but the common leading and trailing
+    lines are found by comparing bytes, and only the lines between them
+    are split, so the cost follows the edited region, not the file.
+    """
+    head = _line_head(old, new)
+    tail = _line_tail(old, new, head)
+    # Every line in old[:head] is terminated; a \r\n counts once.
+    lines = (old.count(b"\n", 0, head) + old.count(b"\r", 0, head)
+             - old.count(b"\r\n", 0, head))
+    return _script(old[head:len(old) - tail].splitlines(keepends=True),
+                   new[head:len(new) - tail].splitlines(keepends=True),
+                   lines)
 
 
 def diff_bytes(old: bytes, new: bytes) -> list[Difference]:

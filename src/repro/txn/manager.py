@@ -447,6 +447,11 @@ class TransactionManager:
                 if faults.INJECTOR is not None:
                     faults.fire("txn.apply")
                 self._publish(txn)
+                # Published: drop the write-set, as an abort does.  The
+                # change feed's replay ring keeps this transaction alive
+                # through its events' ``txn_handle``, and the write-set
+                # would pin every superseded record (old contents whole).
+                txn.writeset = None
                 if stage_ticket is not None:
                     # Durable and published: release the events.  A
                     # crash beyond this point may push a commit that

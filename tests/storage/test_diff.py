@@ -1,9 +1,14 @@
 """Tests for the Myers diff engine, script application, and merge3."""
 
+import hashlib
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.deltas import DeltaStore
 from repro.storage.diff import (
     Difference,
     DiffKind,
@@ -16,6 +21,7 @@ from repro.storage.diff import (
     merge3,
     merge3_bytes,
 )
+from repro.storage.serializer import encode_value
 
 
 class TestDiffSequences:
@@ -228,3 +234,183 @@ def test_property_merge_with_unchanged_side_takes_edits(base, ours):
     result = merge3(base, ours, list(base))
     assert result.clean
     assert list(result.merged) == ours
+
+
+# ----------------------------------------------------------------------
+# the line path's contract: same scripts as the token path, minimal up to
+# the edit bound, one replacement beyond it
+
+def fields(script):
+    return [(d.kind, d.position, d.old, d.new) for d in script]
+
+
+def distance(script):
+    return sum(d.old_length + d.new_length for d in script)
+
+
+line_bytes = st.lists(
+    st.sampled_from([b"a", b"b", b"\n", b"\r", b"\r\n"]), max_size=30,
+).map(b"".join)
+
+
+@st.composite
+def byte_pairs(draw):
+    """Two bodies: unrelated, identical, or one a small edit of the other.
+
+    Drawn from pieces that include a bare ``\\r``, so a ``\\r`` on one
+    side of a common prefix or suffix can pair with a ``\\n`` on the
+    other; the last line is often unterminated and either side empty.
+    """
+    old = draw(line_bytes)
+    how = draw(st.sampled_from(["unrelated", "identical", "edited"]))
+    if how == "unrelated":
+        return old, draw(line_bytes)
+    if how == "identical":
+        return old, old
+    new = old
+    for __ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(new)))
+        cut = draw(st.integers(0, 2))
+        new = new[:at] + draw(line_bytes.filter(lambda b: len(b) < 4)) \
+            + new[at + cut:]
+    return old, new
+
+
+@given(pair=byte_pairs())
+@settings(max_examples=600)
+def test_property_diff_lines_equals_token_diff(pair):
+    old, new = pair
+    assert fields(diff_lines(old, new)) == fields(diff_sequences(
+        old.splitlines(keepends=True), new.splitlines(keepends=True)))
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"", b""), (b"", b"a\r"), (b"a\r", b""), (b"a\r", b"a\r"),
+    (b"a\r", b"a\r\n"), (b"a\r\n", b"a\r"), (b"x\r\n", b"y\n"),
+    (b"a\rb\n", b"a\r\nb\n"), (b"\r\nb", b"\nb"), (b"a\nb", b"a\nbb"),
+    (b"q\r\nz\n", b"q\n\nz\n"), (b"a\n\r", b"a\n\r\n"),
+])
+def test_diff_lines_cr_edges(old, new):
+    expected = diff_sequences(old.splitlines(keepends=True),
+                              new.splitlines(keepends=True))
+    assert fields(diff_lines(old, new)) == fields(expected)
+    assert apply_differences_bytes(old, diff_bytes(old, new)) == new
+
+
+def lcs_length(old, new):
+    row = [0] * (len(new) + 1)
+    for token in old:
+        diagonal = 0
+        for j, other in enumerate(new):
+            diagonal, row[j + 1] = row[j + 1], (
+                diagonal + 1 if token == other
+                else max(row[j + 1], row[j]))
+    return row[-1]
+
+
+@given(old=tokens, new=tokens)
+@settings(max_examples=300)
+def test_property_script_is_minimal(old, new):
+    assert distance(diff_sequences(old, new)) \
+        == len(old) + len(new) - 2 * lcs_length(old, new)
+
+
+@given(pair=byte_pairs())
+@settings(max_examples=200)
+def test_property_line_script_is_minimal(pair):
+    old, new = (side.splitlines(keepends=True) for side in pair)
+    assert distance(diff_lines(*pair)) \
+        == len(old) + len(new) - 2 * lcs_length(old, new)
+
+
+def design_file(rng, size):
+    lines, length = [], 0
+    while length < size:
+        line = b"%s %d %d\n" % (rng.choice([b"gate", b"net", b"pin"]),
+                                rng.randrange(10**6), rng.randrange(10**6))
+        lines.append(line)
+        length += len(line)
+    return lines
+
+
+class TestEditBound:
+    def test_unrelated_large_bodies_are_fast_and_round_trip(self):
+        rng = random.Random(3)
+        old = b"".join(design_file(rng, 34_000))
+        new = b"".join(design_file(rng, 34_000))
+        best = float("inf")
+        for __ in range(3):
+            started = time.perf_counter()
+            script = diff_bytes(old, new)
+            best = min(best, time.perf_counter() - started)
+        assert best <= 0.015
+        assert apply_differences_bytes(old, script) == new
+        assert apply_differences_bytes(
+            new, invert_differences(script)) == old
+
+    def test_past_the_bound_the_trimmed_core_is_one_replacement(self):
+        rng = random.Random(4)
+        head, tail = design_file(rng, 2_000), design_file(rng, 2_000)
+        # Blank lines between rewritten ones: a minimal script would be
+        # hundreds of edits around the shared blanks.
+        old_core, new_core = (
+            [line for design in design_file(rng, 9_000)
+             for line in (design, b"\n")][:-1] for __ in range(2))
+        script = diff_lines(b"".join(head + old_core + tail),
+                            b"".join(head + new_core + tail))
+        assert fields(script) == [(DiffKind.REPLACE, len(head),
+                                   tuple(old_core), tuple(new_core))]
+
+    def test_merge3_keeps_disjoint_edits_clean_past_the_bound(self):
+        rng = random.Random(5)
+        base = design_file(rng, 30_000)
+        ours = list(base)
+        ours[10:310] = design_file(rng, 9_000)  # far past the bound
+        theirs = list(base)
+        theirs[-5] = b"edited\n"
+        result = merge3(base, ours, theirs)
+        assert result.clean
+        assert list(result.merged) == ours[:-5] + [b"edited\n"] + ours[-4:]
+
+
+# ----------------------------------------------------------------------
+# stored deltas are byte-identical to those of the original engine
+
+def seeded_chain():
+    rng = random.Random(25)
+    words = [b"gate", b"net", b"pin", b"via", b"pad", b"wire"]
+    endings = [b"\n", b"\n", b"\n", b"\n", b"\r\n", b"\r"]
+
+    def line():
+        if rng.random() < 0.1:
+            return rng.choice(endings)  # blank line; \r then \n pair up
+        return b"%s %d" % (rng.choice(words), rng.randrange(500)) \
+            + rng.choice(endings)
+
+    lines = [line() for __ in range(300)]
+    chain = DeltaStore(b"".join(lines), 1)
+    for time_ in range(2, 80):
+        for __ in range(rng.randrange(5)):
+            at = rng.randrange(len(lines) + 1)
+            op = rng.randrange(4)
+            if op == 0 or not lines:
+                lines[at:at] = [line() for __ in range(rng.randrange(1, 6))]
+            elif op == 1:
+                del lines[at:at + rng.randrange(1, 6)]
+            else:
+                lines[at:at + rng.randrange(1, 4)] = [
+                    line() for __ in range(rng.randrange(1, 4))]
+        body = b"".join(lines)
+        if time_ % 9 == 0:
+            body = body.rstrip(b"\r\n")  # unterminated last line
+        if time_ == 40:
+            body = b""
+        chain.check_in(body, time_)
+    return chain
+
+
+def test_seeded_chain_record_is_byte_identical():
+    # Digest recorded from the token-by-token engine this one replaced.
+    record = encode_value(seeded_chain().to_record())
+    assert hashlib.blake2b(record, digest_size=16).hexdigest() \
+        == "8c89a3cbcb45338fff12f7888cac6d3a"

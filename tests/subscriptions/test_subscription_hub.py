@@ -7,6 +7,7 @@ the counter invariant ``delivered + dropped == fired``.
 """
 
 import threading
+import weakref
 
 import pytest
 
@@ -224,4 +225,25 @@ class TestLocalWatchConcurrency:
             while watch.poll(timeout=1.0) is not None:
                 seen += 1
             assert seen == 80
+        ham.close()
+
+
+class TestReplayRingRetention:
+    def test_committed_write_set_is_released(self):
+        # The replay ring keeps each event's transaction alive; the
+        # transaction must not keep its write-set (and through it the
+        # superseded record and its whole old contents).
+        ham = HAM.ephemeral()
+        with ham.watch() as watch:
+            node, created = ham.add_node()
+            txn = ham.begin()
+            ham.modify_node(txn, node=node, expected_time=created,
+                            contents=b"design\n" * 2000)
+            written = weakref.ref(txn.writeset)
+            txn.commit()
+            assert written() is None
+            kinds = []
+            while (item := watch.poll(timeout=1.0)) is not None:
+                kinds.append(item["kind"])
+            assert kinds == ["addNode", "modifyNode"]
         ham.close()
