@@ -69,6 +69,7 @@ from repro.query.planner import compile_predicate, plan_query
 from repro.query.predicate import Predicate
 from repro.query.stats import AttributeStatistics
 from repro.query.traversal import TraversalResult, linearize_graph
+from repro.storage.deltas import encode_script, script_bytes
 from repro.storage.diff import Difference, diff_bytes
 from repro.storage.log import WalStats, WriteAheadLog
 from repro.tools.metrics import PLANNER
@@ -127,8 +128,10 @@ class _NullLog:
 
 # ----------------------------------------------------------------------
 # Logical redo: one apply function per operation.  The live path, crash
-# recovery, and commit-time publication share these, so replay is the
-# same code that ran first.  Records are addressed through the
+# recovery, and replica replay share these, so replay is the same code
+# that ran first — bar one rewrite: a check-in whose forward script is
+# smaller than its contents is journaled, and replayed, as that script
+# (see ``_apply_modify_node``).  Records are addressed through the
 # ``*_for_write`` accessors: on a plain GraphStore (recovery) those are
 # the records themselves; on a transaction's WriteSet overlay they are
 # private copy-on-write clones, so the shared store is never mutated
@@ -208,8 +211,24 @@ def _apply_delete_link(store: GraphStore, args: dict) -> None:
 def _apply_modify_node(store: GraphStore, args: dict) -> list:
     node = store.node_for_write(args["index"])
     time = args["time"]
-    node.modify(args["contents"], args["expected"], time,
-                args.get("explanation", ""))
+    explanation = args.get("explanation", "")
+    if "script" in args:
+        # A delta record: apply the journaled forward script, checked
+        # against the chain's current hash and the journaled result hash.
+        node.modify_by_script(args["base"], args["script"], args["hash"],
+                              args["expected"], time, explanation)
+    else:
+        contents = args["contents"]
+        delta = node.modify(contents, args["expected"], time, explanation)
+        # The redo record (these args, journaled after this returns)
+        # carries the forward script instead of the contents whenever the
+        # script's tokens are the smaller of the two.
+        if delta is not None and script_bytes(delta[1]) < len(contents):
+            base, forward, digest = delta
+            del args["contents"]
+            args["base"] = base
+            args["script"] = encode_script(forward)
+            args["hash"] = digest
     moved = []
     for link_index, end_value, position in args.get("moves", []):
         link = store.link_for_write(link_index)

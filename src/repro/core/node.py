@@ -29,11 +29,13 @@ from repro.core.types import (
 from repro.errors import (
     NodeNotFoundError,
     ProtectionError,
+    RecoveryError,
     StaleVersionError,
     VersionError,
 )
 from repro.storage.cas import content_hash
 from repro.storage.deltas import DeltaStore, KeyframeDeltaStore
+from repro.storage.diff import Difference
 
 __all__ = ["NodeRecord"]
 
@@ -141,21 +143,26 @@ class NodeRecord:
         return self._file_contents
 
     def modify(self, contents: bytes, expected_time: Time, time: Time,
-               explanation: str = "") -> None:
+               explanation: str = "",
+               ) -> tuple[bytes, list[Difference], bytes] | None:
         """Check in new contents (``modifyNode``).
 
         ``expected_time`` must equal the current version time — the
         optimistic-concurrency check the Appendix mandates ("Time must be
         equal to the version time of the current version of the node").
+
+        Returns ``(base hash, forward script, new hash)`` when the chain
+        computed a forward script — the delta form a redo record may
+        carry (see :meth:`modify_by_script`) — and None for a file node
+        or a chain that diffs no script.
         """
-        if not self.protections.writable:
-            raise ProtectionError(f"node {self.index} is not writable")
-        if expected_time != self.current_time:
-            raise StaleVersionError(
-                f"node {self.index}: check-in expected version "
-                f"{expected_time} but current is {self.current_time}")
+        self._require_modifiable(expected_time)
+        delta = None
         if self._archive is not None:
-            self._archive.check_in(contents, time)
+            base = self._archive.hash_at(-1)
+            forward = self._archive.check_in(contents, time)
+            if forward is not None:
+                delta = (base, forward, self._archive.hash_at(-1))
         else:
             contents = bytes(contents)
             digest = content_hash(contents)
@@ -167,6 +174,33 @@ class NodeRecord:
             self._file_hash = digest
             self._file_time = time
         self._explanations[time] = explanation
+        return delta
+
+    def modify_by_script(self, base: bytes, script: list, digest: bytes,
+                         expected_time: Time, time: Time,
+                         explanation: str = "") -> None:
+        """Replay a check-in journaled as ``(base, forward script, hash)``.
+
+        The same checks as :meth:`modify`, then
+        :meth:`DeltaStore.check_in_script`, which raises
+        :class:`RecoveryError` unless ``base`` is the current version's
+        hash and the script yields ``digest``.
+        """
+        self._require_modifiable(expected_time)
+        if not isinstance(self._archive, DeltaStore):
+            raise RecoveryError(
+                f"node {self.index}: delta record for a node that keeps "
+                f"no backward-delta chain")
+        self._archive.check_in_script(base, script, digest, time)
+        self._explanations[time] = explanation
+
+    def _require_modifiable(self, expected_time: Time) -> None:
+        if not self.protections.writable:
+            raise ProtectionError(f"node {self.index} is not writable")
+        if expected_time != self.current_time:
+            raise StaleVersionError(
+                f"node {self.index}: check-in expected version "
+                f"{expected_time} but current is {self.current_time}")
 
     def rollback_modify(self, previous_contents: bytes,
                         previous_time: Time) -> None:

@@ -85,10 +85,18 @@ class ReplicaEndpoint:
 
 
 class ReplicatedHAM:
-    """Route HAM operations across a primary and its replicas."""
+    """Route HAM operations across a primary and its replicas.
+
+    ``graph=(project_id, name)`` binds the primary session to a graph
+    hosted by a :class:`~repro.server.host.GraphHost` server, through
+    :meth:`RemoteHAM.host_open_graph` — which replays the binding after
+    every reconnect.  Replica servers serve one graph each and need no
+    binding.
+    """
 
     def __init__(self, primary: tuple[str, int],
                  replicas: tuple[tuple[str, int], ...] = (), *,
+                 graph: tuple[int, str] | None = None,
                  staleness_budget: int | None = 1 << 20,
                  read_your_writes: bool = True,
                  ryw_timeout: float = 2.0,
@@ -113,10 +121,16 @@ class ReplicatedHAM:
         self.stale_rejects = 0
         self._primary = self._connect(*primary)
         self._readers: list[ReplicaEndpoint] = []
-        for host, port in replicas:
-            endpoint = ReplicaEndpoint(host, port)
-            endpoint.client = self._connect(host, port)
-            self._readers.append(endpoint)
+        try:
+            if graph is not None:
+                self._primary.host_open_graph(*graph)
+            for host, port in replicas:
+                endpoint = ReplicaEndpoint(host, port)
+                endpoint.client = self._connect(host, port)
+                self._readers.append(endpoint)
+        except BaseException:
+            self.close()
+            raise
 
     def _connect(self, host: str, port: int) -> RemoteHAM:
         return self._client_factory(host, port, timeout=self._timeout,

@@ -12,7 +12,10 @@ difference script against its successor, so:
 - reading the current version is O(1) — by far the common case;
 - reading K versions back costs K delta applications;
 - checking in a new version costs one diff (new vs. previous current) and
-  stores only the changed tokens.
+  stores only the changed tokens;
+- replaying a journaled check-in costs no diff at all: the redo log
+  carries the forward script, and :meth:`DeltaStore.check_in_script`
+  applies it to the current version under a base- and result-hash check.
 
 Two layers ride on top of the chains (see :mod:`repro.storage.cas` and
 :mod:`repro.storage.blockcache`):
@@ -39,7 +42,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from repro.errors import VersionError
+from repro.errors import RecoveryError, VersionError
 from repro.storage import blockcache
 from repro.storage.cas import content_hash
 from repro.storage.diff import (
@@ -51,7 +54,8 @@ from repro.storage.diff import (
 )
 
 __all__ = ["DeltaStore", "FullCopyStore", "KeyframeDeltaStore",
-           "DeltaChainStats", "encode_script", "decode_script"]
+           "DeltaChainStats", "encode_script", "decode_script",
+           "script_bytes"]
 
 #: Chain identities for cache keys.  A fresh id per constructed chain —
 #: ``id()`` would be reusable after garbage collection.  Clones *share*
@@ -100,7 +104,7 @@ encode_script = _encode_script
 decode_script = _decode_script
 
 
-def _script_bytes(script: list[Difference]) -> int:
+def script_bytes(script: list[Difference]) -> int:
     """Approximate stored size of a script: the token payloads it carries."""
     return sum(
         sum(len(token) for token in diff.old)
@@ -179,18 +183,62 @@ class DeltaStore(_CachedChain):
     # ------------------------------------------------------------------
     # writing
 
-    def check_in(self, contents: bytes, time: int) -> None:
-        """Store a new current version with timestamp ``time``."""
+    def check_in(self, contents: bytes, time: int) -> list[Difference]:
+        """Store a new current version with timestamp ``time``.
+
+        Returns the forward script (previous current → ``contents``)
+        whose inverse the chain stored: the redo log may journal it in
+        place of the contents (see :meth:`check_in_script`).
+        """
+        self._require_advance(time)
+        contents = bytes(contents)
+        forward = diff_bytes(self._current, contents)
+        self._push(contents, content_hash(contents), forward, time)
+        return forward
+
+    def check_in_script(self, base: bytes, script: list, digest: bytes,
+                        time: int) -> None:
+        """Replay a check-in journaled as an encoded forward script.
+
+        ``base`` must be the current version's hash and the script's
+        result must hash to ``digest``; anything else means the log and
+        the chain disagree, and raises :class:`RecoveryError` rather than
+        storing a wrong version.  No diff runs: the stored delta is the
+        inverse of the journaled script, exactly what the live check-in
+        stored.
+        """
+        self._require_advance(time)
+        if base != self._hashes[-1]:
+            raise RecoveryError(
+                f"delta record for version {time} expects base "
+                f"{bytes(base).hex()}, chain is at "
+                f"{self._hashes[-1].hex()}")
+        try:
+            forward = _decode_script(script)
+            contents = apply_differences_bytes(self._current, forward)
+        except (ValueError, TypeError) as exc:
+            raise RecoveryError(
+                f"delta record for version {time} does not apply: "
+                f"{exc}") from exc
+        result = content_hash(contents)
+        if result != digest:
+            raise RecoveryError(
+                f"delta record for version {time} yields hash "
+                f"{result.hex()}, journaled {bytes(digest).hex()}")
+        self._push(contents, result, forward, time)
+
+    def _require_advance(self, time: int) -> None:
         if time <= self._times[-1]:
             raise VersionError(
                 f"version time {time} does not advance past "
                 f"{self._times[-1]}")
-        contents = bytes(contents)
-        digest = content_hash(contents)
+
+    def _push(self, contents: bytes, digest: bytes,
+              forward: list[Difference], time: int) -> None:
+        """Make ``contents`` current, storing ``forward``'s inverse."""
         previous_digest = self._hashes[-1]
         if self._catalog is not None:
             contents, digest = self._catalog.intern(contents, digest)
-        forward = diff_bytes(self._current, contents)
         self._deltas.append(invert_differences(forward))
         self._times.append(time)
         self._hashes.append(digest)
@@ -316,7 +364,7 @@ class DeltaStore(_CachedChain):
         return DeltaChainStats(
             version_count=len(self._times),
             current_bytes=len(self._current),
-            delta_bytes=sum(_script_bytes(s) for s in self._deltas),
+            delta_bytes=sum(script_bytes(s) for s in self._deltas),
         )
 
     def to_record(self) -> dict:
@@ -531,7 +579,7 @@ class KeyframeDeltaStore(_CachedChain):
             len(contents)
             for index, contents in self._keyframes.items()
             if index != len(self._times) - 1)
-        history += sum(_script_bytes(script)
+        history += sum(script_bytes(script)
                        for script in self._forward.values())
         return DeltaChainStats(
             version_count=len(self._times),

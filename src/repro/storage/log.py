@@ -180,8 +180,9 @@ class LogRecord:
     """One log entry.
 
     ``payload`` is an encodable value (see serializer); for UPDATE records
-    it is a dict with ``key``, ``undo`` and ``redo`` entries interpreted by
-    the recovery manager.  ``lsn`` is assigned on append (byte offset).
+    it is ``{"op": operation, "args": {...}}``, the logical redo record
+    (see :mod:`repro.txn.recovery`).  ``lsn`` is assigned on append (byte
+    offset).
     """
 
     kind: LogRecordKind

@@ -41,12 +41,14 @@ from repro.workloads.crashmix import (
     CommitOracle,
     CrashMix,
     StagedTxn,
+    chain_states,
+    run_checkin_mix,
     run_crash_mix,
 )
 
 __all__ = ["CaseResult", "ConcurrentCaseResult", "FailoverCaseResult",
            "PipelinedCaseResult", "SubscriptionCaseResult", "abandon",
-           "run_concurrent_case",
+           "run_checkin_case", "run_concurrent_case",
            "run_failover_case", "run_local_case", "run_pipelined_case",
            "run_remote_case", "run_subscription_case",
            "verify_invariants",
@@ -151,6 +153,60 @@ def run_remote_case(directory, point: str, action: str, hit: int = 1,
         abandon(recovered)
     return CaseResult(point=point, action=action, hit=hit, fired=fired,
                       error=error)
+
+
+def run_checkin_case(directory, hit: int = 2, seed: int = 0,
+                     steps: int = 6) -> CaseResult:
+    """A ``txn.apply`` kill inside multi-check-in transactions.
+
+    Runs :func:`run_checkin_mix`, whose check-ins journal as delta
+    records, with the kill armed at commit number ``hit``.  The kill
+    lands after that commit's blob was forced, so recovery must rebuild,
+    byte for byte, the chains of every acknowledged commit *and* of the
+    interrupted one.  Those come from a fault-free rerun of the same
+    seed, whose acknowledged prefix must match the faulted run's.
+    """
+    base = os.fspath(directory)
+    path = os.path.join(base, "graph")
+    project_id, __ = HAM.create_graph(path)
+    ham = HAM.open_graph(project_id, path)
+    states: list = []
+    plan = faults.FaultPlan(
+        specs=(faults.FaultSpec("txn.apply", "kill", hit=hit),), seed=seed)
+    injector = faults.install(plan)
+    error: BaseException | None = None
+    try:
+        run_checkin_mix(ham, states, steps=steps, seed=seed)
+    except faults.SimulatedCrash as exc:
+        error = exc
+    finally:
+        faults.uninstall()
+    abandon(ham)
+
+    reference_path = os.path.join(base, "reference")
+    reference_id, __ = HAM.create_graph(reference_path)
+    reference_ham = HAM.open_graph(reference_id, reference_path)
+    reference: list = []
+    try:
+        run_checkin_mix(reference_ham, reference, steps=steps, seed=seed)
+    finally:
+        abandon(reference_ham)
+    assert states == reference[:len(states)], (
+        "the check-in mix is not deterministic per seed")
+
+    recovered = HAM.open_graph(project_id, path)
+    try:
+        got = chain_states(recovered)
+    finally:
+        abandon(recovered)
+    # states[k] is the state after k commits, so the killed commit's is
+    # reference[len(states)]; a run the kill missed left states whole.
+    durable = min(len(states), len(reference) - 1)
+    assert got == reference[durable], (
+        f"recovered chains are not those of the {durable} durable "
+        f"commits ({len(states) - 1} acknowledged)")
+    return CaseResult(point="txn.apply", action="kill", hit=hit,
+                      fired=bool(injector.fired), error=error)
 
 
 @dataclass

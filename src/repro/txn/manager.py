@@ -6,8 +6,11 @@ per DESIGN.md "Isolation and visibility"):
 - the primary copy of the hypergraph lives in memory; writers never
   mutate it mid-transaction.  Every mutation applies to the
   transaction's private :class:`~repro.txn.writeset.WriteSet` overlay
-  and *buffers* a logical redo record (operation name + arguments,
-  including any assigned ids and times, so replay is deterministic) —
+  and *buffers* a logical redo record — the operation name and the
+  arguments its apply function left behind: assigned ids and times, so
+  replay is deterministic, and for a check-in either the whole contents
+  or, when smaller, the forward script between the base and result
+  content hashes (see :func:`repro.core.ham._apply_modify_node`) —
   nothing touches the log or the shared store until commit;
 - ``commit`` hands the WAL the whole buffer (BEGIN, UPDATE*, COMMIT) as
   one blob — one ``os.write``, one log-lock acquisition — reaches the
@@ -116,10 +119,13 @@ class Transaction:
     def log_update(self, operation: str, args: dict) -> None:
         """Journal one logical mutation applied to the write-set.
 
-        ``operation``/``args`` form the logical redo record.  The record
-        is only buffered — it reaches the log, prefixed by this
-        transaction's BEGIN, as part of the single commit-time blob.
-        There is no undo side: abort simply drops the write-set.
+        ``operation``/``args`` form the logical redo record: ``args`` as
+        the operation's apply function left them, which for a
+        ``modify_node`` may carry ``base``/``script``/``hash`` (a delta
+        record) in place of ``contents``.  The record is only buffered —
+        it reaches the log, prefixed by this transaction's BEGIN, as part
+        of the single commit-time blob.  There is no undo side: abort
+        simply drops the write-set.
         """
         self._require_active()
         if self.read_only:

@@ -10,6 +10,16 @@ explicitly aborted at crash time) are discarded — their effects never
 reached the durable state, which is exactly the paper's "complete recovery
 from any aborted transaction".
 
+An UPDATE names an operation and the arguments its apply function
+replays.  Most are self-contained; a *delta record* (a ``modify_node``
+carrying ``base``/``script``/``hash`` instead of ``contents``) applies
+only on top of the version whose hash is ``base``.  Log order guarantees
+that version: a node's X-lock is held until its commit publishes, so the
+commits touching one node reach the log in the order they built on each
+other.  A delta record that finds another base, or yields another hash,
+raises :class:`~repro.errors.RecoveryError` during the re-apply — the
+log and the snapshot disagree, and no state is guessed.
+
 Replay is idempotent because the HAM rebuilds from the snapshot each time:
 running recovery twice from the same snapshot+log yields identical state.
 """

@@ -19,6 +19,12 @@ recovered graph for traces of transactions that must not exist.
 
 Used by :mod:`repro.testing.crashmatrix`; importable on its own for
 ad-hoc recovery experiments.
+
+:func:`run_checkin_mix` is the companion for delta-chain recovery: its
+transactions line-edit multi-line design files, so most check-ins are
+journaled as forward scripts rather than whole contents, and it records
+every node's encoded record after each acknowledged commit — the exact
+bytes recovery and replicas must rebuild.
 """
 
 from __future__ import annotations
@@ -27,8 +33,10 @@ import random
 from dataclasses import dataclass, field
 
 from repro.core.types import LinkPt
+from repro.storage.serializer import encode_value
 
-__all__ = ["CrashMix", "StagedTxn", "CommitOracle", "run_crash_mix"]
+__all__ = ["CrashMix", "StagedTxn", "CommitOracle", "chain_states",
+           "run_checkin_mix", "run_crash_mix"]
 
 
 @dataclass(frozen=True)
@@ -153,3 +161,49 @@ def run_crash_mix(ham, oracle: CommitOracle, mix: CrashMix) -> None:
             raise
         if mix.checkpoint_at is not None and step == mix.checkpoint_at:
             ham.checkpoint()
+
+
+def chain_states(ham) -> dict[int, bytes]:
+    """Every node's encoded record: version chain, hashes, metadata."""
+    return {index: encode_value(record.to_record())
+            for index, record in ham.store.nodes.items()}
+
+
+def run_checkin_mix(ham, states: list, steps: int = 8, seed: int = 0,
+                    nodes: int = 3, lines: int = 30) -> None:
+    """Multi-check-in transactions over line-edited design files.
+
+    One set-up transaction creates ``nodes`` archive nodes with
+    ``lines``-line bodies; each of the ``steps`` transactions after it
+    edits a few lines of two or three of them, checking one node in
+    twice.  ``states`` receives :func:`chain_states` before the set-up
+    and after every acknowledged commit, so after a fault
+    ``states[-1]`` is the last acknowledged state.  Deterministic per
+    ``seed``: a fault-free rerun reproduces the states a faulted run
+    never reached.
+    """
+    rng = random.Random(seed)
+    states.append(chain_states(ham))
+    bodies: dict[int, list[bytes]] = {}
+    times: dict[int, int] = {}
+    with ham.begin() as txn:
+        for slot in range(nodes):
+            node, time = ham.add_node(txn)
+            bodies[node] = [f"node {slot} line {k}: {rng.random():.15f}\n"
+                            .encode() for k in range(lines)]
+            times[node] = ham.modify_node(txn, node=node, expected_time=time,
+                                          contents=b"".join(bodies[node]))
+    states.append(chain_states(ham))
+    for step in range(steps):
+        with ham.begin() as txn:
+            touched = rng.sample(sorted(bodies), min(len(bodies),
+                                                     rng.randint(2, 3)))
+            for node in touched + touched[:1]:
+                body = bodies[node]
+                for __ in range(rng.randint(1, 3)):
+                    body[rng.randrange(len(body))] = (
+                        f"step {step} edit {rng.random():.15f}\n".encode())
+                times[node] = ham.modify_node(
+                    txn, node=node, expected_time=times[node],
+                    contents=b"".join(body))
+        states.append(chain_states(ham))

@@ -146,6 +146,17 @@ def test_concurrent_committer_matrix(tmp_path, action, hit):
         assert result.wal.group_fsyncs <= result.wal.commit_forces
 
 
+@pytest.mark.parametrize("hit", (2, 5))
+def test_multi_checkin_apply_kill(tmp_path, hit):
+    """Kill at ``txn.apply`` inside a transaction of several check-ins
+    journaled as delta records: the recovered chains must equal, byte
+    for byte, the live chains of every acknowledged commit plus the
+    durable commit the kill interrupted."""
+    result = cm.run_checkin_case(tmp_path, hit=hit, seed=SEED)
+    assert result.fired, f"txn.apply hit={hit} never triggered"
+    assert isinstance(result.error, faults.SimulatedCrash)
+
+
 class TestApplyFaultPoisonsManager:
     """A commit that fails between WAL append and in-memory apply leaves
     the durable log ahead of memory.  The manager must refuse further

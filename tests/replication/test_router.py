@@ -11,6 +11,7 @@ from repro.errors import NotPrimaryError, ReplicaLagError, RetryableError
 from repro.replication.replica import Replica
 from repro.replication.router import ReplicatedHAM
 from repro.server.client import RemoteHAM
+from repro.server.host import GraphHost
 from repro.server.server import HAMServer
 
 
@@ -155,6 +156,48 @@ class TestPrimaryOnlyRouting:
         finally:
             router.close()
             cluster.close()
+
+
+class TestHostedPrimary:
+    def test_router_binds_a_hosted_graph(self, tmp_path):
+        # A GraphHost primary serves many graphs, so the router's primary
+        # session must bind one before any operation; ``graph=`` does it
+        # with the stock client, and the binding survives a reconnect.
+        host = GraphHost(tmp_path / "graphs")
+        project_id, __ = host.create_graph("design")
+        ham = host.open_graph(project_id, "design")
+        server = HAMServer(host=host).start()
+        source = RemoteHAM(*server.address, timeout=10.0)
+        source.host_open_graph(project_id, "design")
+        replica = Replica(source, tmp_path / "replica", name="r0",
+                          poll_wait=0.2)
+        replica_server = HAMServer(replica.ham).start()
+        router = ReplicatedHAM(server.address, (replica_server.address,),
+                               graph=(project_id, "design"),
+                               ryw_timeout=10.0, timeout=10.0)
+        try:
+            node, t = router.add_node()
+            t = router.modify_node(node=node, expected_time=t,
+                                   contents=b"hosted body\n")
+            assert ham.open_node(node)[0] == b"hosted body\n"
+            # Read-your-writes through the replica tier, no explicit wait.
+            assert router.open_node(node)[0] == b"hosted body\n"
+            assert replica.ham.open_node(node)[0] == b"hosted body\n"
+            client = router.primary
+            with client._lock:
+                client._teardown_locked()
+            router.modify_node(node=node, expected_time=t,
+                               contents=b"after reconnect\n")
+            assert client.reconnects == 1
+            assert router.open_node(node)[0] == b"after reconnect\n"
+            assert router.stale_rejects == 0  # the replica served reads
+        finally:
+            router.close()
+            replica_server.stop(disconnect_clients=True)
+            replica.close()
+            source.close()
+            server.stop(disconnect_clients=True)
+            host.close()
 
 
 class TestSessionGuarantees:

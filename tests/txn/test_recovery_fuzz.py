@@ -15,6 +15,11 @@ then checks three properties over *every* byte of the file:
 - without the sidecar the same flips always degrade to the tolerant
   clean stop — a mark-less log recovers exactly like the pre-sidecar
   format.
+
+A second log, of multi-check-in transactions journaled as delta records
+(forward scripts), gets the same sweeps judged on the recovered *graph*:
+every truncation and every mark-less payload flip must reopen to exactly
+the chains of the acknowledged prefix, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,11 +30,22 @@ import pytest
 
 from repro.core.ham import HAM
 from repro.errors import RecoveryError
-from repro.storage.log import MARK_SUFFIX, WriteAheadLog, _read_mark
-from repro.storage.serializer import RECORD_HEADER
+from repro.storage.log import (
+    MARK_SUFFIX,
+    LogRecord,
+    WriteAheadLog,
+    _read_mark,
+)
+from repro.storage.serializer import RECORD_HEADER, unpack_record
 from repro.testing.crashmatrix import abandon, wal_record_boundaries
 from repro.txn.recovery import replay_log
-from repro.workloads.crashmix import CommitOracle, CrashMix, run_crash_mix
+from repro.workloads.crashmix import (
+    CommitOracle,
+    CrashMix,
+    chain_states,
+    run_checkin_mix,
+    run_crash_mix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +176,88 @@ def test_bitflip_without_sidecar_always_tolerated(tmp_path, real_wal):
         prefix = _replay_bytes(tmp_path, data[:start])
         assert state.committed_txns == prefix.committed_txns
         assert state.updates == prefix.updates
+
+
+# ----------------------------------------------------------------------
+# delta records
+
+
+@pytest.fixture(scope="module")
+def delta_wal(tmp_path_factory):
+    """(graph dir, project id, wal bytes, chain states per commit)."""
+    root = tmp_path_factory.mktemp("delta-fuzz")
+    path = root / "graph"
+    project_id, __ = HAM.create_graph(path)
+    ham = HAM.open_graph(project_id, path)
+    states: list = []
+    run_checkin_mix(ham, states, steps=5, seed=5, lines=12)
+    abandon(ham)
+    return path, project_id, (path / "wal.log").read_bytes(), states
+
+
+def _frames(data: bytes):
+    """(start, end, decoded record) for every frame of ``data``."""
+    offset = 0
+    while offset < len(data):
+        payload, end = unpack_record(data, offset)
+        yield offset, end, LogRecord.decode(payload, lsn=offset)
+        offset = end
+
+
+def _reopen(tmp_path, graph, project_id, data: bytes, mark: bool):
+    """Chain states of ``graph`` reopened over the log ``data``."""
+    copy = tmp_path / "reopen"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(graph, copy)
+    (copy / "wal.log").write_bytes(data)
+    if not mark:
+        open(str(copy / "wal.log") + MARK_SUFFIX, "wb").close()
+    recovered = HAM.open_graph(project_id, copy)
+    try:
+        return chain_states(recovered)
+    finally:
+        abandon(recovered)
+
+
+def test_delta_truncation_recovers_the_acknowledged_prefix(tmp_path,
+                                                          delta_wal):
+    graph, project_id, data, states = delta_wal
+    # Recovery is snapshot + the committed updates replay_log returns,
+    # so every cut with the same committed set rebuilds the same graph:
+    # scan every byte, reopen once per distinct prefix.
+    reopened: dict = {}
+    for cut in range(len(data) + 1):
+        committed = frozenset(_replay_bytes(tmp_path, data[:cut])
+                              .committed_txns)
+        if committed in reopened:
+            continue
+        got = _reopen(tmp_path, graph, project_id, data[:cut], mark=False)
+        assert got == states[len(committed)], (
+            f"cut at {cut}: recovered chains are not the prefix of "
+            f"{len(committed)} acknowledged commits")
+        reopened[committed] = cut
+    assert len(reopened) == len(states)
+
+
+def test_delta_record_flips(tmp_path, delta_wal):
+    """A flipped bit inside a delta record's payload: below the mark the
+    reopen fails loudly; mark-less it stops cleanly before that commit."""
+    graph, project_id, data, states = delta_wal
+    deltas = [(start, end) for start, end, record in _frames(data)
+              if record.payload and "script" in record.payload["args"]]
+    assert deltas
+    for start, end in deltas:
+        committed = len(_replay_bytes(tmp_path, data[:start])
+                        .committed_txns)
+        for offset in (start + RECORD_HEADER.size, (start + end) // 2,
+                       end - 1):
+            mutated = bytearray(data)
+            mutated[offset] ^= 0x10
+            with pytest.raises(RecoveryError):
+                _reopen(tmp_path, graph, project_id, bytes(mutated),
+                        mark=True)
+            got = _reopen(tmp_path, graph, project_id, bytes(mutated),
+                          mark=False)
+            assert got == states[committed], (
+                f"flip at byte {offset} of delta record [{start},{end}) "
+                f"did not stop recovery at the preceding prefix")
