@@ -10,7 +10,9 @@ The *current* version is stored whole; each older version is a reverse
 difference script against its successor, so:
 
 - reading the current version is O(1) — by far the common case;
-- reading K versions back costs K delta applications;
+- reading K versions back costs one split of the current version into
+  lines, K in-place splices of the lines each delta edits, one join, and
+  a content-hash check of the result;
 - checking in a new version costs one diff (new vs. previous current) and
   stores only the changed tokens;
 - replaying a journaled check-in costs no diff at all: the redo log
@@ -42,13 +44,14 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from repro.errors import RecoveryError, VersionError
+from repro.errors import RecoveryError, StorageError, VersionError
 from repro.storage import blockcache
 from repro.storage.cas import content_hash
 from repro.storage.diff import (
     Difference,
     DiffKind,
     apply_differences_bytes,
+    apply_scripts_bytes,
     diff_bytes,
     invert_differences,
 )
@@ -138,7 +141,13 @@ class _CachedChain:
         return self._hashes[index]
 
     def _read(self, index: int) -> bytes:
-        """Version ``index``, through the memoization cache."""
+        """Version ``index``, through the memoization cache.
+
+        The current version is returned as stored.  An older one comes
+        from the cache or, on a miss, from :meth:`_materialize`, whose
+        hash check runs before the result is offered to the cache: an
+        entry always holds the bytes its key's hash names.
+        """
         if index == len(self._times) - 1:
             return self._current
         cache = self.cache
@@ -150,6 +159,23 @@ class _CachedChain:
             blob = self._materialize(index)
             cache.put(key, blob)
         return blob
+
+    def _materialize(self, index: int) -> bytes:
+        """Version ``index`` rebuilt by one walk, checked against its hash.
+
+        The walk (:func:`~repro.storage.diff.apply_scripts_bytes`) keeps
+        one token list across its deltas.  The content hash recorded at
+        check-in proves the bytes it ends with, so a delta that was
+        corrupted yet still applies raises :class:`StorageError` instead
+        of being served, and cached, as that version.
+        """
+        contents = self._walk(index)
+        digest = content_hash(contents)
+        if digest != self._hashes[index]:
+            raise StorageError(
+                f"version {index} (time {self._times[index]}) rebuilds to "
+                f"hash {digest.hex()}, recorded {self._hashes[index].hex()}")
+        return contents
 
 
 class DeltaStore(_CachedChain):
@@ -288,11 +314,10 @@ class DeltaStore(_CachedChain):
             raise VersionError(f"no version was checked in at time {time}")
         return self._read(index)
 
-    def _materialize(self, index: int) -> bytes:
-        contents = self._current
-        for step in range(len(self._deltas) - 1, index - 1, -1):
-            contents = apply_differences_bytes(contents, self._deltas[step])
-        return contents
+    def _walk(self, index: int) -> bytes:
+        """Version ``index``: the backward deltas from the current one."""
+        return apply_scripts_bytes(self._current,
+                                   reversed(self._deltas[index:]))
 
     def rollback_last(self) -> None:
         """Drop the current version, restoring its predecessor.
@@ -494,8 +519,6 @@ class KeyframeDeltaStore(_CachedChain):
     def get(self, time: int = 0) -> bytes:
         """Contents at ``time`` (0 = current); old versions memoized."""
         if time == 0 or time >= self._times[-1]:
-            if time != 0 and time < self._times[0]:
-                raise VersionError(f"no version exists at time {time}")
             return self._current
         if time < self._times[0]:
             raise VersionError(
@@ -512,16 +535,15 @@ class KeyframeDeltaStore(_CachedChain):
             raise VersionError(f"no version was checked in at time {time}")
         return self._read(index)
 
-    def _materialize(self, index: int) -> bytes:
+    def _walk(self, index: int) -> bytes:
+        """Version ``index``: the forward deltas from its keyframe."""
         # Always the pure keyframe walk — no current-version shortcut:
         # rollback_last materializes the new last version while
         # ``_current`` still holds the payload being dropped.
-        keyframe_index = index - (index % self._interval)
-        contents = self._keyframes[keyframe_index]
-        for step in range(keyframe_index + 1, index + 1):
-            contents = apply_differences_bytes(contents,
-                                               self._forward[step])
-        return contents
+        start = index - (index % self._interval)
+        return apply_scripts_bytes(
+            self._keyframes[start],
+            (self._forward[step] for step in range(start + 1, index + 1)))
 
     def rollback_last(self) -> None:
         """Drop the current version, restoring its predecessor."""
@@ -619,7 +641,7 @@ class KeyframeDeltaStore(_CachedChain):
         if hashes:
             store._hashes = [bytes(digest) for digest in hashes]
         else:
-            store._hashes = [content_hash(store._materialize(index))
+            store._hashes = [content_hash(store._walk(index))
                              for index in range(len(store._times))]
         return store
 

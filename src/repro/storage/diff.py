@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 __all__ = [
     "DiffKind",
@@ -29,6 +29,7 @@ __all__ = [
     "diff_bytes",
     "apply_differences",
     "apply_differences_bytes",
+    "apply_scripts_bytes",
     "invert_differences",
     "merge3",
     "merge3_bytes",
@@ -216,19 +217,34 @@ def diff_sequences(
     return _script(old[pre:len(old) - suf], new[pre:len(new) - suf], pre)
 
 
-def _split_tokens(data: bytes) -> tuple[list[bytes], bool]:
-    """Tokenize node contents for diffing.
+def _line_mode(bodies: Iterable[bytes],
+               script: Sequence[Difference] = ()) -> bool:
+    """The tokenization rule: lines when a newline occurs anywhere in
+    one diff, apply or merge — in a body, or in a token of the script
+    being applied — so both sides of a script agree on how the bytes
+    were cut.  Plain loops: every check-in asks, and a walk asks once
+    per delta."""
+    for diff in script:
+        for token in diff.old:
+            if b"\n" in token:
+                return True
+        for token in diff.new:
+            if b"\n" in token:
+                return True
+    for body in bodies:
+        if b"\n" in body:
+            return True
+    return False
 
-    Returns ``(tokens, line_mode)``.  Line mode keeps the trailing newline
-    on each token so concatenating tokens reproduces the input exactly.
-    """
-    if b"\n" in data:
-        tokens = data.splitlines(keepends=True)
-        return tokens, True
-    tokens = [
+
+def _tokenize(data: bytes, lines: bool) -> list[bytes]:
+    """Line tokens (line break kept on each, as ``splitlines`` cuts them)
+    or :data:`_BINARY_CHUNK`-byte chunks; joining them gives ``data``."""
+    if lines:
+        return data.splitlines(keepends=True)
+    return [
         data[i:i + _BINARY_CHUNK] for i in range(0, len(data), _BINARY_CHUNK)
     ]
-    return tokens, False
 
 
 def _common_head(a: bytes, b: bytes) -> int:
@@ -332,11 +348,36 @@ def diff_bytes(old: bytes, new: bytes) -> list[Difference]:
     so the mode is chosen from the *union* of the two: line mode whenever
     either side contains a newline.
     """
-    if b"\n" in old or b"\n" in new:
+    if _line_mode((old, new)):
         return diff_lines(old, new)
-    old_tokens, __ = _split_tokens(old)
-    new_tokens, __ = _split_tokens(new)
-    return diff_sequences(old_tokens, new_tokens)
+    return diff_sequences(_tokenize(old, False), _tokenize(new, False))
+
+
+def _splice(tokens: list, script: Sequence[Difference]) -> None:
+    """Apply ``script`` to ``tokens`` in place.
+
+    Edits are spliced last to first, so each position still indexes the
+    unedited tokens.  Raises :class:`ValueError` if the script does not
+    match (overlapping edits, a position past the end, or removed tokens
+    that are not there) — a corrupted delta chain must fail loudly, never
+    produce silently wrong contents.  On error ``tokens`` may be partly
+    edited.
+    """
+    end = len(tokens)
+    for diff in reversed(script):
+        position = diff.position
+        stop = position + len(diff.old)
+        if position < 0 or stop > end:
+            raise ValueError(
+                f"difference at {position} overlaps the next edit or the "
+                f"end of the tokens (at {end})")
+        actual = tuple(tokens[position:stop])
+        if actual != diff.old:
+            raise ValueError(
+                f"difference at {position} expected {diff.old!r}, "
+                f"found {actual!r}")
+        tokens[position:stop] = diff.new
+        end = position
 
 
 def apply_differences(
@@ -345,41 +386,53 @@ def apply_differences(
 ) -> list:
     """Apply a difference script to ``old``, returning the new token list.
 
-    Raises :class:`ValueError` if the script does not match ``old`` (wrong
-    position or mismatched removed tokens) — a corrupted delta chain must
-    fail loudly, never produce silently wrong contents.
+    Raises :class:`ValueError` if the script does not match ``old`` (see
+    :func:`_splice`).
     """
-    result: list = []
-    cursor = 0
-    for diff in script:
-        if diff.position < cursor:
-            raise ValueError(
-                f"difference at {diff.position} overlaps prior edit "
-                f"ending at {cursor}"
-            )
-        result.extend(old[cursor:diff.position])
-        cursor = diff.position
-        actual = tuple(old[cursor:cursor + diff.old_length])
-        if actual != diff.old:
-            raise ValueError(
-                f"difference at {diff.position} expected {diff.old!r}, "
-                f"found {actual!r}"
-            )
-        result.extend(diff.new)
-        cursor += diff.old_length
-    result.extend(old[cursor:])
-    return result
+    tokens = list(old)
+    _splice(tokens, script)
+    return tokens
+
+
+def apply_scripts_bytes(
+    data: bytes,
+    scripts: Iterable[Sequence[Difference]],
+) -> bytes:
+    """Apply byte-level scripts one after another, splitting only once.
+
+    Equal to folding :func:`apply_differences_bytes` over ``scripts``.
+    Each step picks its tokenization by :func:`_line_mode` over the
+    script's tokens and the current contents.  Line steps splice into
+    one token list kept across steps, so a walk of K deltas costs one
+    split, K splices of the edited lines, and one join.  A chunk step
+    joins, applies on 64-byte chunks and joins again; the next line
+    step re-splits.
+
+    Scripts from :func:`diff_bytes` hold whole ``splitlines`` tokens, so
+    the kept list equals a re-split of the joined bytes at every step.
+    A hand-made script whose tokens are cut otherwise can make the walk
+    raise, or return other bytes, where the fold would not; delta chains
+    therefore check the result against its content hash.
+    """
+    tokens = None  # the contents as line tokens; ``data`` is stale then
+    for script in scripts:
+        if _line_mode((data,) if tokens is None else tokens, script):
+            if tokens is None:
+                tokens = _tokenize(data, True)
+            _splice(tokens, script)
+        else:
+            if tokens is not None:
+                data = b"".join(tokens)
+                tokens = None
+            chunks = _tokenize(data, False)
+            _splice(chunks, script)
+            data = b"".join(chunks)
+    return data if tokens is None else b"".join(tokens)
 
 
 def apply_differences_bytes(old: bytes, script: Sequence[Difference]) -> bytes:
     """Apply a byte-level script produced by :func:`diff_bytes`."""
-    if b"\n" in old or any(
-        b"\n" in token for diff in script for token in (*diff.old, *diff.new)
-    ):
-        tokens = old.splitlines(keepends=True)
-    else:
-        tokens, __ = _split_tokens(old)
-    return b"".join(apply_differences(tokens, script))
+    return apply_scripts_bytes(old, (script,))
 
 
 def invert_differences(script: Sequence[Difference]) -> list[Difference]:
@@ -496,8 +549,6 @@ def merge3(
 
 def merge3_bytes(base: bytes, ours: bytes, theirs: bytes) -> MergeResult:
     """Three-way merge of byte contents, tokenized like :func:`diff_bytes`."""
-    if b"\n" in base or b"\n" in ours or b"\n" in theirs:
-        tokenize = lambda data: data.splitlines(keepends=True)  # noqa: E731
-    else:
-        tokenize = lambda data: _split_tokens(data)[0]  # noqa: E731
-    return merge3(tokenize(base), tokenize(ours), tokenize(theirs))
+    lines = _line_mode((base, ours, theirs))
+    return merge3(_tokenize(base, lines), _tokenize(ours, lines),
+                  _tokenize(theirs, lines))

@@ -1,11 +1,17 @@
 """Tests for the backward-delta version store and its baseline."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import VersionError
-from repro.storage.deltas import DeltaStore, FullCopyStore
+from repro import HAM
+from repro.errors import StorageError, VersionError
+from repro.storage.blockcache import BlockCache
+from repro.storage.cas import content_hash
+from repro.storage.deltas import DeltaStore, FullCopyStore, KeyframeDeltaStore
+from repro.storage.diff import apply_differences_bytes
 from repro.workloads.trace import EditTrace, generate_versions
 
 
@@ -197,3 +203,158 @@ def test_property_record_round_trip(history):
     restored = DeltaStore.from_record(store.to_record())
     for position, contents in enumerate(history, start=1):
         assert restored.get(position) == contents
+
+
+# ----------------------------------------------------------------------
+# as-of reads: one walk down a chain equals applying its deltas one at a
+# time, and a delta that applies to the wrong bytes is caught by the hash
+
+CHAINS = {
+    "backward": lambda initial: DeltaStore(initial, time=1),
+    "keyframed": lambda initial: KeyframeDeltaStore(initial, time=1,
+                                                    interval=3),
+}
+
+
+def big_body(seed):
+    """130 distinct lines: bodies of two seeds are more than ``_MAX_EDITS``
+    tokens apart, so their script is one REPLACE of the whole body."""
+    return b"".join(b"line %d %d\n" % (seed, i) for i in range(130))
+
+
+#: Line bodies with lone ``\r`` and ``\r\n`` breaks, often unterminated.
+line_bodies = st.lists(
+    st.sampled_from([b"ab", b"c", b"\n", b"\r", b"\r\n"]), max_size=20,
+).map(b"".join)
+
+bodies = st.one_of(
+    line_bodies,
+    st.binary(max_size=120),  # mostly newline-free: 64-byte chunk mode
+    st.binary(min_size=65, max_size=200).map(
+        lambda data: data.replace(b"\n", b"")),  # several chunks
+    st.just(b""),
+    st.integers(0, 1).map(big_body),
+)
+
+
+@st.composite
+def histories(draw):
+    """Versions that are fresh bodies (switching between text, binary,
+    empty and past-the-bound rewrites) or small edits of their
+    predecessor, which can add or remove its only newlines."""
+    history = [draw(bodies)]
+    for __ in range(draw(st.integers(1, 10))):
+        body = history[-1]
+        if not draw(st.booleans()):
+            history.append(draw(bodies))
+            continue
+        for __ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(body)))
+            cut = draw(st.integers(0, 3))
+            body = body[:at] + draw(line_bodies) + body[at + cut:]
+        history.append(body)
+    return history
+
+
+def build(kind, history):
+    chain = CHAINS[kind](history[0])
+    for time, body in enumerate(history[1:], start=2):
+        chain.check_in(body, time=time)
+    return chain
+
+
+def scripts_of(chain):
+    """The stored deltas, by the index of the version each one rebuilds
+    (DeltaStore: from its successor; keyframed: from its predecessor)."""
+    if isinstance(chain, DeltaStore):
+        return chain._deltas
+    return chain._forward
+
+
+def fold(chain, index):
+    """Version ``index`` by one ``apply_differences_bytes`` per delta."""
+    if isinstance(chain, DeltaStore):
+        contents = chain._current
+        for script in reversed(chain._deltas[index:]):
+            contents = apply_differences_bytes(contents, script)
+        return contents
+    start = index - index % chain._interval
+    contents = chain._keyframes[start]
+    for step in range(start + 1, index + 1):
+        contents = apply_differences_bytes(contents, chain._forward[step])
+    return contents
+
+
+class TestWalkIsTheFold:
+    @pytest.mark.parametrize("kind", sorted(CHAINS))
+    @pytest.mark.parametrize("reload", [None, "record", "record-no-hashes"])
+    @given(history=histories())
+    @example(history=[b"\x00" * 70, b"\x01" * 70, b"a\n", b"\x02" * 70,
+                      b"b\rc\r\n", b""])
+    @example(history=[big_body(0), big_body(1), b"", big_body(0)])
+    @settings(max_examples=60, deadline=None)
+    def test_every_version_equals_the_fold(self, kind, reload, history):
+        chain = build(kind, history)
+        if reload is not None:
+            record = chain.to_record()
+            if reload == "record-no-hashes":
+                del record["hashes"]
+            chain = type(chain).from_record(record)
+        chain.cache = None  # every read walks
+        for index, body in enumerate(history):
+            assert chain.get(index + 1) == fold(chain, index) == body
+        assert chain.get() == history[-1]
+
+
+class TestCorruptDeltas:
+    """Version 1 of ``a b c`` → ``a B c`` → ``a B C`` is rebuilt by one
+    REPLACE of a single line token on either chain kind."""
+
+    @staticmethod
+    def chain(kind):
+        chain = build(kind, [b"a\nb\nc\n", b"a\nB\nc\n", b"a\nB\nC\n"])
+        chain.cache = BlockCache(max_bytes=1 << 20)
+        return chain
+
+    @staticmethod
+    def tamper(chain, **fields):
+        scripts = scripts_of(chain)
+        script = scripts[1]
+        scripts[1] = [replace(script[0], **fields)] + script[1:]
+
+    @pytest.mark.parametrize("kind", sorted(CHAINS))
+    def test_mismatched_removed_tokens_raise_value_error(self, kind):
+        chain = self.chain(kind)
+        self.tamper(chain, old=(b"not there\n",))
+        with pytest.raises(ValueError, match="expected"):
+            chain.get(2)
+
+    @pytest.mark.parametrize("kind", sorted(CHAINS))
+    def test_wrong_bytes_raise_and_are_never_cached(self, kind):
+        chain = self.chain(kind)
+        self.tamper(chain, new=(b"X\n",))
+        wrong = content_hash(fold(chain, 1))  # the fold does not notice
+        key = (chain._chain_id, chain.hash_at(1))
+        for __ in range(2):
+            with pytest.raises(StorageError) as raised:
+                chain.get(2)
+            assert key not in chain.cache
+        message = str(raised.value)
+        assert "version 1 (time 2)" in message
+        assert chain.hash_at(1).hex() in message
+        assert wrong.hex() in message
+        assert chain.get(3) == chain.get() == b"a\nB\nC\n"
+
+    def test_as_of_open_node_raises_current_read_succeeds(self):
+        with HAM.ephemeral() as ham:
+            node, created = ham.add_node()
+            before = ham.modify_node(node=node, expected_time=created,
+                                     contents=b"a\nb\nc\n")
+            ham.modify_node(node=node, expected_time=before,
+                            contents=b"a\nB\nc\n")
+            chain = ham.store.node(node)._archive
+            # _deltas[1] rebuilds ``a b c`` from the current version.
+            self.tamper(chain, new=(b"X\n",))
+            with pytest.raises(StorageError, match="rebuilds to hash"):
+                ham.open_node(node, time=before)
+            assert ham.open_node(node)[0] == b"a\nB\nc\n"

@@ -101,6 +101,11 @@ class TestDifferenceValidation:
         with pytest.raises(ValueError):
             apply_differences(["a", "b", "c"], script)
 
+    def test_apply_rejects_insert_past_the_end(self):
+        script = [Difference(DiffKind.INSERT, 2, (), ("x",))]
+        with pytest.raises(ValueError, match="end of the tokens"):
+            apply_differences(["a"], script)
+
 
 class TestInvert:
     def test_invert_restores_old(self):
