@@ -67,7 +67,6 @@ from repro.query.index import AttributeValueIndex
 from repro.query.parser import parse_predicate
 from repro.query.planner import compile_predicate, plan_query
 from repro.query.predicate import Predicate
-from repro.query.stats import AttributeStatistics
 from repro.query.traversal import TraversalResult, linearize_graph
 from repro.storage.deltas import encode_script, script_bytes
 from repro.storage.diff import Difference, diff_bytes
@@ -378,13 +377,9 @@ class HAM:
         #: While None, the commit path collects nothing — subscriptions
         #: cost zero until someone actually watches.
         self._subscriptions = None
+        #: The inverted index, which is also the planner's statistics.
         self._index: AttributeValueIndex | None = (
             AttributeValueIndex() if use_attribute_index else None)
-        #: Planner statistics ride with the index: both are maintained
-        #: from the same committed mutation stream, and both are only
-        #: trustworthy under the same seqlock validation.
-        self._stats: AttributeStatistics | None = (
-            AttributeStatistics() if use_attribute_index else None)
         if self._index is not None:
             self._rebuild_index()
 
@@ -663,7 +658,7 @@ class HAM:
         if predicate is None:
             return None
         return compile_predicate(parse_predicate(predicate),
-                                 self._store.registry, self._stats)
+                                 self._store.registry, self._index)
 
     def watch(self, events=None, predicate=None, max_events: int = 1024):
         """Open an in-process change feed (a ``LocalWatch``).
@@ -799,7 +794,6 @@ class HAM:
                 # a graph promoted without one rebuilds it now so the
                 # indexed query path works for its new writers.
                 self._index = AttributeValueIndex()
-                self._stats = AttributeStatistics()
                 self._rebuild_index()
         return self.repl_status()
 
@@ -821,7 +815,7 @@ class HAM:
                 "only; route mutations to the primary")
         txn = self._txns.begin(read_only=read_only)
         if not read_only:
-            txn.writeset = WriteSet(self._store, self._index, self._stats)
+            txn.writeset = WriteSet(self._store, self._index)
         return txn
 
     transaction = begin  # alias: ``with ham.transaction() as txn:``
@@ -836,7 +830,7 @@ class HAM:
                 "only; route mutations to the primary")
         txn = self._txns.begin(read_only=read_only, auto=True)
         if not read_only:
-            txn.writeset = WriteSet(self._store, self._index, self._stats)
+            txn.writeset = WriteSet(self._store, self._index)
         return txn
 
     def _in_txn(self, txn: Transaction | None, read_only: bool = False):
@@ -863,7 +857,7 @@ class HAM:
         is simply dropping the overlay.
         """
         if txn.writeset is None:  # externally-created transaction
-            txn.writeset = WriteSet(self._store, self._index, self._stats)
+            txn.writeset = WriteSet(self._store, self._index)
         result = _APPLY[operation](txn.writeset, args)
         txn.log_update(operation, args)
         return result
@@ -1055,9 +1049,9 @@ class HAM:
                 time = pinned
             store = self._store_for(t)
             node_pred = compile_predicate(
-                parse_predicate(node_predicate), store.registry, self._stats)
+                parse_predicate(node_predicate), store.registry, self._index)
             link_pred = compile_predicate(
-                parse_predicate(link_predicate), store.registry, self._stats)
+                parse_predicate(link_predicate), store.registry, self._index)
             PLANNER.increment("compiled_traversals")
             return linearize_graph(
                 store, start, time, node_pred, link_pred,
@@ -1080,12 +1074,12 @@ class HAM:
                 # only reflects committed state, so it cannot be used.
                 return get_graph_query(
                     t.writeset, time, node_pred, link_pred,
-                    *projection, index=None, stats=self._stats)
+                    *projection, index=None, stats=self._index)
             pinned = self._snapshot_time(t)
             if pinned is None:
                 return get_graph_query(
                     self._store, time, node_pred, link_pred,
-                    *projection, index=self._index, stats=self._stats)
+                    *projection, index=self._index, stats=self._index)
             if time == CURRENT:
                 # Optimistic indexed path: if no commit has published
                 # since this snapshot was pinned (apply seqlock even
@@ -1099,7 +1093,7 @@ class HAM:
                         and self._txns.applied_high <= t.watermark):
                     result = get_graph_query(
                         self._store, CURRENT, node_pred, link_pred,
-                        *projection, index=self._index, stats=self._stats)
+                        *projection, index=self._index, stats=self._index)
                     if self._txns.apply_seq == t.snapshot_seq:
                         return result
                 # The seqlock proved the live index stale relative to
@@ -1110,7 +1104,7 @@ class HAM:
             # historical times anyway).
             return get_graph_query(
                 self._store, time, node_pred, link_pred,
-                *projection, index=self._index, stats=self._stats)
+                *projection, index=self._index, stats=self._index)
 
     def explain_query(self, time: Time = CURRENT,
                       node_predicate: str | Predicate | None = None,
@@ -1133,7 +1127,7 @@ class HAM:
                        and not writer_overlay)
             plan = plan_query(
                 parse_predicate(node_predicate), store.registry,
-                stats=self._stats, indexed=indexed,
+                stats=self._index, indexed=indexed,
                 link_predicate=parse_predicate(link_predicate))
             PLANNER.increment("explains")
             return plan.explain()
@@ -1555,10 +1549,8 @@ class HAM:
         registry = self._store.registry
         for node in self._store.live_nodes(CURRENT):
             for index, value in node.attributes.all_at(CURRENT).items():
-                name = registry.name_of(index)
-                self._index.set_value(node.index, name, value)
-                if self._stats is not None:
-                    self._stats.set_value(node.index, name, value)
+                self._index.set_value(node.index, registry.name_of(index),
+                                      value)
 
     # ==================================================================
     # Appendix-style camelCase aliases

@@ -15,8 +15,9 @@ query."
 - :mod:`repro.query.traversal` — ``linearizeGraph``.
 - :mod:`repro.query.graph_query` — ``getGraphQuery``.
 - :mod:`repro.query.index` — optional inverted attribute index with
-  sorted value views (equality, range, and presence probes).
-- :mod:`repro.query.stats` — commit-maintained attribute statistics.
+  sorted value views (equality, range, and presence probes); its
+  postings and sorted lists also answer the planner's selectivity
+  estimates.
 - :mod:`repro.query.planner` — cost-based planning: normalization,
   compiled predicates, index access paths, ``explain()``.
 - :mod:`repro.query.batch` — columnar batch evaluation of compiled
@@ -39,7 +40,6 @@ from repro.query.evaluator import evaluate
 from repro.query.traversal import linearize_graph, TraversalResult
 from repro.query.graph_query import get_graph_query, QueryResult
 from repro.query.index import AttributeValueIndex
-from repro.query.stats import AttributeStatistics
 from repro.query.planner import (
     CompiledPredicate,
     QueryPlan,
@@ -66,7 +66,6 @@ __all__ = [
     "get_graph_query",
     "QueryResult",
     "AttributeValueIndex",
-    "AttributeStatistics",
     "CompiledPredicate",
     "QueryPlan",
     "compile_predicate",

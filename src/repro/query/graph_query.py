@@ -28,7 +28,6 @@ from repro.query.batch import batch_filter
 from repro.query.index import AttributeValueIndex
 from repro.query.planner import QueryPlan, plan_query
 from repro.query.predicate import Predicate
-from repro.query.stats import AttributeStatistics
 from repro.query.traversal import attribute_values
 from repro.tools.metrics import PLANNER
 
@@ -61,15 +60,15 @@ def get_graph_query(
     node_attributes: list[AttributeIndex] | None = None,
     link_attributes: list[AttributeIndex] | None = None,
     index: AttributeValueIndex | None = None,
-    stats: AttributeStatistics | None = None,
+    stats: AttributeValueIndex | None = None,
     plan: QueryPlan | None = None,
 ) -> QueryResult:
     """All nodes matching ``node_predicate`` plus their interconnections.
 
     When ``index`` is supplied (current-time queries only), the plan's
     access path prunes the candidate set before residual evaluation —
-    the B3 ablation.  ``stats`` feeds the plan's selectivity estimates;
-    a pre-built ``plan`` (from :func:`repro.query.planner.plan_query`
+    the B3 ablation.  ``stats`` (the index again, also when it cannot
+    prune) feeds the plan's selectivity estimates; a pre-built ``plan`` (from :func:`repro.query.planner.plan_query`
     with matching arguments) skips re-planning.
     """
     node_attributes = node_attributes or []

@@ -17,10 +17,15 @@ replaces that with a small planner:
    prunes, never decides.
 3. **Compile** the predicate for execution: attribute names resolve to
    registry indexes once, conjuncts are ordered cheapest-to-fail and
-   disjuncts likeliest-to-hit using the commit-maintained
-   :class:`~repro.query.stats.AttributeStatistics`, and the compiled
-   tree evaluates directly against the ``{attribute index: value}``
-   dicts the store hands out — no name materialization per row.
+   disjuncts likeliest-to-hit using the selectivity estimates of the
+   commit-maintained :class:`~repro.query.index.AttributeValueIndex`
+   (the index is the planner's statistics), and the compiled tree
+   evaluates directly against the ``{attribute index: value}`` dicts
+   the store hands out — no name materialization per row.
+
+One estimate walk per plan records every subtree's estimate; conjunct
+ordering, the access path and the plan's total all read it, so each
+leaf asks the index once.
 
 The residual predicate is always the *full* normalized predicate: the
 access path narrows the candidate set, the residual decides membership.
@@ -36,7 +41,12 @@ from dataclasses import dataclass, field
 from repro.core.attributes import AttributeRegistry
 from repro.core.types import AttributeIndex, NodeIndex
 from repro.query.evaluator import _compare
-from repro.query.index import AttributeValueIndex
+from repro.query.index import (
+    DEFAULT_EQ_SELECTIVITY,
+    DEFAULT_PRESENCE_SELECTIVITY,
+    DEFAULT_RANGE_SELECTIVITY,
+    AttributeValueIndex,
+)
 from repro.query.predicate import (
     And,
     CompareOp,
@@ -47,12 +57,6 @@ from repro.query.predicate import (
     Or,
     Predicate,
     TruePredicate,
-)
-from repro.query.stats import (
-    DEFAULT_EQ_SELECTIVITY,
-    DEFAULT_PRESENCE_SELECTIVITY,
-    DEFAULT_RANGE_SELECTIVITY,
-    AttributeStatistics,
 )
 
 __all__ = ["CompiledPredicate", "QueryPlan", "compile_predicate",
@@ -115,42 +119,51 @@ def normalize(predicate: Predicate) -> Predicate:
 # selectivity estimation
 
 def estimate_selectivity(predicate: Predicate,
-                         stats: AttributeStatistics | None) -> float:
+                         stats: AttributeValueIndex | None) -> float:
     """Estimated fraction of nodes satisfying ``predicate`` (0..1)."""
+    return _estimate(predicate, stats, {})
+
+
+def _estimate(predicate: Predicate, stats: AttributeValueIndex | None,
+              estimates: dict[int, float]) -> float:
+    """:func:`estimate_selectivity`, recording each subtree's estimate
+    in ``estimates`` under ``id(subtree)``."""
     if isinstance(predicate, TruePredicate):
-        return 1.0
-    if isinstance(predicate, FalsePredicate):
-        return 0.0
-    if isinstance(predicate, Comparison):
+        estimate = 1.0
+    elif isinstance(predicate, FalsePredicate):
+        estimate = 0.0
+    elif isinstance(predicate, Comparison):
         if predicate.op is CompareOp.EQ:
-            if stats is None:
-                return DEFAULT_EQ_SELECTIVITY
-            return stats.eq_selectivity(predicate.attribute, predicate.value)
-        if predicate.op is CompareOp.NE:
-            if stats is None:
-                return DEFAULT_PRESENCE_SELECTIVITY
-            return stats.ne_selectivity(predicate.attribute, predicate.value)
-        if stats is None:
-            return DEFAULT_RANGE_SELECTIVITY
-        return stats.range_selectivity(
-            predicate.attribute, predicate.op, predicate.value)
-    if isinstance(predicate, Exists):
-        if stats is None:
-            return DEFAULT_PRESENCE_SELECTIVITY
-        return stats.presence_selectivity(predicate.attribute)
-    if isinstance(predicate, And):
-        product = 1.0
+            estimate = (DEFAULT_EQ_SELECTIVITY if stats is None else
+                        stats.eq_selectivity(predicate.attribute,
+                                             predicate.value))
+        elif predicate.op is CompareOp.NE:
+            estimate = (DEFAULT_PRESENCE_SELECTIVITY if stats is None else
+                        stats.ne_selectivity(predicate.attribute,
+                                             predicate.value))
+        else:
+            estimate = (DEFAULT_RANGE_SELECTIVITY if stats is None else
+                        stats.range_selectivity(predicate.attribute,
+                                                predicate.op,
+                                                predicate.value))
+    elif isinstance(predicate, Exists):
+        estimate = (DEFAULT_PRESENCE_SELECTIVITY if stats is None else
+                    stats.presence_selectivity(predicate.attribute))
+    elif isinstance(predicate, And):
+        estimate = 1.0
         for operand in predicate.operands:
-            product *= estimate_selectivity(operand, stats)
-        return product
-    if isinstance(predicate, Or):
+            estimate *= _estimate(operand, stats, estimates)
+    elif isinstance(predicate, Or):
         misses = 1.0
         for operand in predicate.operands:
-            misses *= 1.0 - estimate_selectivity(operand, stats)
-        return 1.0 - misses
-    if isinstance(predicate, Not):
-        return 1.0 - estimate_selectivity(predicate.operand, stats)
-    return 1.0
+            misses *= 1.0 - _estimate(operand, stats, estimates)
+        estimate = 1.0 - misses
+    elif isinstance(predicate, Not):
+        estimate = 1.0 - _estimate(predicate.operand, stats, estimates)
+    else:
+        estimate = 1.0
+    estimates[id(predicate)] = estimate
+    return estimate
 
 
 # ----------------------------------------------------------------------
@@ -237,17 +250,26 @@ def _matches(node: tuple, attached: dict[AttributeIndex, str]) -> bool:
 def compile_predicate(
     predicate: Predicate,
     registry: AttributeRegistry,
-    stats: AttributeStatistics | None = None,
+    stats: AttributeValueIndex | None = None,
 ) -> CompiledPredicate:
     """Normalize ``predicate`` and resolve it against ``registry``.
 
-    With ``stats``, conjuncts are ordered by ascending estimated
-    selectivity (cheapest to disprove first) and disjuncts by
-    descending (likeliest to prove first); either way short-circuit
+    With ``stats`` (the index), conjuncts are ordered by ascending
+    estimated selectivity (cheapest to disprove first) and disjuncts
+    by descending (likeliest to prove first); either way short-circuit
     evaluation touches as few attributes as the estimates allow.
     Ordering never changes results — only how fast they arrive.
     """
     normalized = normalize(predicate)
+    estimates: dict[int, float] = {}
+    _estimate(normalized, stats, estimates)
+    return _compile(normalized, registry, estimates)
+
+
+def _compile(normalized: Predicate, registry: AttributeRegistry,
+             estimates: dict[int, float]) -> CompiledPredicate:
+    """Resolve a normalized predicate, ordering compounds by the
+    subtree ``estimates`` one :func:`_estimate` walk recorded."""
     attributes: set[AttributeIndex] = set()
 
     def build(node: Predicate) -> tuple:
@@ -271,7 +293,7 @@ def compile_predicate(
             descending = isinstance(node, Or)
             ordered = sorted(
                 node.operands,
-                key=lambda op: estimate_selectivity(op, stats),
+                key=lambda op: estimates[id(op)],
                 reverse=descending)
             tag = "and" if isinstance(node, And) else "or"
             return (tag, tuple(build(child) for child in ordered))
@@ -411,15 +433,16 @@ class IndexUnion(AccessPath):
 
 
 def _plan_access(predicate: Predicate,
-                 stats: AttributeStatistics | None) -> AccessPath | None:
+                 estimates: dict[int, float]) -> AccessPath | None:
     """Index strategy whose fetch is a superset of the true matches.
 
+    ``estimates`` holds every subtree's estimate (:func:`_estimate`).
     Returns ``None`` when no (sound) index use exists for this subtree.
     """
     if isinstance(predicate, FalsePredicate):
         return EmptyScan()
     if isinstance(predicate, Comparison):
-        estimate = estimate_selectivity(predicate, stats)
+        estimate = estimates[id(predicate)]
         if predicate.op is CompareOp.EQ:
             return SingleProbe(Probe("eq", predicate.attribute, None,
                                      predicate.value, estimate))
@@ -431,15 +454,15 @@ def _plan_access(predicate: Predicate,
                                  None, estimate))
     if isinstance(predicate, Exists):
         return SingleProbe(Probe("present", predicate.attribute, None, None,
-                                 estimate_selectivity(predicate, stats)))
+                                 estimates[id(predicate)]))
     if isinstance(predicate, And):
         members: list[tuple[float, AccessPath]] = []
         for operand in predicate.operands:
-            path = _plan_access(operand, stats)
+            path = _plan_access(operand, estimates)
             if isinstance(path, EmptyScan):
                 return EmptyScan()     # one unsatisfiable conjunct kills all
             if path is not None:
-                members.append((estimate_selectivity(operand, stats), path))
+                members.append((estimates[id(operand)], path))
         if not members:
             return None
         members.sort(key=lambda pair: pair[0])
@@ -449,7 +472,7 @@ def _plan_access(predicate: Predicate,
     if isinstance(predicate, Or):
         arms = []
         for operand in predicate.operands:
-            path = _plan_access(operand, stats)
+            path = _plan_access(operand, estimates)
             if path is None:
                 # One unindexable arm may match anything — scan.
                 return None
@@ -509,19 +532,23 @@ class QueryPlan:
 def plan_query(
     node_predicate: Predicate,
     registry: AttributeRegistry,
-    stats: AttributeStatistics | None = None,
+    stats: AttributeValueIndex | None = None,
     indexed: bool = True,
     link_predicate: Predicate | None = None,
 ) -> QueryPlan:
     """Build the full plan for one ``getGraphQuery`` call.
 
+    ``stats`` is the index whose estimates order the plan, even when
     ``indexed=False`` (as-of-time query, index disabled, or a writer's
     uncommitted overlay in scope) forces the full-scan shape while the
     compiled residual — and therefore the results — stay identical.
     """
-    compiled = compile_predicate(node_predicate, registry, stats)
+    normalized = normalize(node_predicate)
+    estimates: dict[int, float] = {}
+    estimate = _estimate(normalized, stats, estimates)
+    compiled = _compile(normalized, registry, estimates)
     if indexed:
-        access = _plan_access(compiled.predicate, stats) or FullScan()
+        access = _plan_access(normalized, estimates) or FullScan()
     elif isinstance(compiled.predicate, FalsePredicate):
         # An unsatisfiable predicate needs no index to skip the scan.
         access = EmptyScan()
@@ -534,7 +561,7 @@ def plan_query(
         compiled=compiled,
         access=access,
         shape=access.shape,
-        estimate=estimate_selectivity(compiled.predicate, stats),
+        estimate=estimate,
         indexed=indexed,
         link_compiled=link_compiled,
     )

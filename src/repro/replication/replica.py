@@ -44,7 +44,6 @@ from repro.core.ham import _APPLY, HAM
 from repro.core.types import Protections
 from repro.errors import NeptuneError, RecoveryError, StorageError
 from repro.query.index import AttributeValueIndex
-from repro.query.stats import AttributeStatistics
 from repro.storage.cas import collect_snapshot_blobs, inflate_snapshot_blobs
 from repro.storage.log import (
     MARK_SUFFIX,
@@ -234,7 +233,6 @@ class Replica:
             ham._store = store
             if ham._index is not None:
                 ham._index = AttributeValueIndex()
-                ham._stats = AttributeStatistics()
                 ham._rebuild_index()
 
         ham._txns.resync_base(store.clock, swap)
@@ -357,7 +355,7 @@ class Replica:
         if faults.INJECTOR is not None:
             faults.fire("repl.apply")
         ham = self.ham
-        writeset = WriteSet(ham._store, ham._index, ham._stats)
+        writeset = WriteSet(ham._store, ham._index)
         for operation, args in updates:
             _APPLY[operation](writeset, args)
             self._queue_index(writeset, operation, args)

@@ -35,13 +35,13 @@ and the read paths use:
   refs the transaction's check-ins interned are released
   (:meth:`WriteSet.discard`).
 
-Deferred index maintenance rides along: ``AttributeValueIndex`` and
-``AttributeStatistics`` updates queue on the write-set
-(:meth:`queue_index`) and run inside :meth:`apply` — within the same
-apply-seqlock bracket the transaction manager wraps around publication —
-so both sinks only ever reflect committed state, and a snapshot reader
-that validates one against its pinned apply sequence has validated the
-other.
+Deferred index maintenance rides along: ``AttributeValueIndex`` updates
+queue on the write-set (:meth:`queue_index`) and run inside
+:meth:`apply` — within the same apply-seqlock bracket the transaction
+manager wraps around publication — so the index (and with it the
+planner's selectivity estimates, which it answers) only ever reflects
+committed state, and a snapshot reader validates it against its pinned
+apply sequence.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class _OverlayMap:
 class WriteSet:
     """One transaction's private view of (and pending changes to) a store."""
 
-    def __init__(self, base, index=None, stats=None):
+    def __init__(self, base, index=None):
         self.base = base
         self._nodes: dict = {}
         self._links: dict = {}
@@ -121,7 +121,6 @@ class WriteSet:
         self._next_node_index = None
         self._next_link_index = None
         self._index = index
-        self._stats = stats
         self._index_ops: list[tuple] = []
         #: Change events this transaction fired (in firing order), kept
         #: for the subscription hub to push *after* commit durability
@@ -307,8 +306,8 @@ class WriteSet:
     # deferred attribute-index maintenance
 
     def queue_index(self, op: str, *args) -> None:
-        """Queue an index/statistics update for commit-apply."""
-        if self._index is not None or self._stats is not None:
+        """Queue an index update for commit-apply."""
+        if self._index is not None:
             self._index_ops.append((op,) + args)
 
     # ------------------------------------------------------------------
@@ -388,22 +387,17 @@ class WriteSet:
         if self._next_link_index is not None:
             base.next_link_index = max(base.next_link_index,
                                        self._next_link_index)
-        # The index and the statistics consume the same queued stream,
-        # inside the same seqlock bracket — they can never disagree
-        # about which commits they have absorbed.
-        sinks = [sink for sink in (self._index, self._stats)
-                 if sink is not None]
-        for sink in sinks:
-            for op in self._index_ops:
-                kind = op[0]
-                if kind == "set":
-                    sink.set_value(op[1], op[2], op[3])
-                elif kind == "delete":
-                    sink.delete_value(op[1], op[2])
-                elif kind == "drop":
-                    sink.drop_node(op[1])
-                else:  # pragma: no cover - registry invariant
-                    raise AssertionError(f"unknown index op {kind!r}")
+        index = self._index
+        for op in self._index_ops:
+            kind = op[0]
+            if kind == "set":
+                index.set_value(op[1], op[2], op[3])
+            elif kind == "delete":
+                index.delete_value(op[1], op[2])
+            elif kind == "drop":
+                index.drop_node(op[1])
+            else:  # pragma: no cover - registry invariant
+                raise AssertionError(f"unknown index op {kind!r}")
         if self._catalog is not None:
             # Superseded payloads really are no longer retained: apply
             # the deferred releases.

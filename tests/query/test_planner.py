@@ -30,7 +30,6 @@ from repro.query.predicate import (
     Or,
     TruePredicate,
 )
-from repro.query.stats import AttributeStatistics
 from repro.query.traversal import named_attributes
 
 
@@ -223,7 +222,7 @@ def _registry():
 
 class TestStatsDrivenPlans:
     def test_conjuncts_ordered_by_ascending_selectivity(self):
-        stats = AttributeStatistics()
+        stats = AttributeValueIndex()
         for node in range(100):
             stats.set_value(node, "common", "x")      # selectivity 1.0
             if node < 5:
@@ -238,7 +237,7 @@ class TestStatsDrivenPlans:
         assert first[3] == "y"
 
     def test_intersect_members_ordered_cheapest_first(self):
-        stats = AttributeStatistics()
+        stats = AttributeValueIndex()
         for node in range(100):
             stats.set_value(node, "common", "x")
             if node < 5:
@@ -251,7 +250,7 @@ class TestStatsDrivenPlans:
         assert first.probe.attribute == "rare"
 
     def test_estimates_compose(self):
-        stats = AttributeStatistics()
+        stats = AttributeValueIndex()
         for node in range(10):
             stats.set_value(node, "a", "x" if node < 2 else "z")
         eq = estimate_selectivity(_eq("a", "x"), stats)
@@ -260,6 +259,67 @@ class TestStatsDrivenPlans:
         assert both == pytest.approx(0.04)
         negated = estimate_selectivity(Not(_eq("a", "x")), stats)
         assert negated == pytest.approx(0.8)
+
+
+class _CountingIndex:
+    """Proxy that records every (method, arguments) the planner asks."""
+
+    def __init__(self, index):
+        self._index = index
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._index, name)
+
+        def counted(*args):
+            self.calls.append((name,) + args)
+            return method(*args)
+        return counted
+
+
+class TestEstimateOncePerPlan:
+    """Each leaf asks the index once per plan: conjunct ordering, the
+    access path and the plan's total share one estimate walk."""
+
+    SHAPES = (
+        "(cls = class3 and (rev >= 40 and rev <= 49))",
+        "((team = team1 or team = team7) and status = draft"
+        " and (rev >= 10 and rev <= 39))",
+        "((team = team2 and cls = class5)"
+        " or (status = final and (rev >= 60 and rev <= 61)))",
+    )
+    LINEARIZE = "(team = team4 and (rev >= 0 and rev <= 99))"
+
+    def build(self):
+        rng = random.Random(7)
+        index = AttributeValueIndex()
+        for node in range(400):
+            index.set_value(node, "team", f"team{rng.randrange(24)}")
+            index.set_value(node, "cls", f"class{rng.randrange(8)}")
+            index.set_value(node, "status",
+                            rng.choice(("draft", "final", "review")))
+            index.set_value(node, "rev", str(rng.randrange(100)))
+        return _CountingIndex(index)
+
+    @pytest.mark.parametrize("text", SHAPES + (LINEARIZE,))
+    def test_no_estimate_is_asked_twice_per_plan(self, text):
+        registry = _registry_for(["team", "cls", "status", "rev"])
+        index = self.build()
+        plan = plan_query(parse_predicate(text), registry, stats=index,
+                          link_predicate=parse_predicate(None))
+        assert index.calls
+        assert len(index.calls) == len(set(index.calls)), index.calls
+        # Planning only estimates; it never probes.
+        assert all(call[0].endswith("_selectivity") for call in index.calls)
+        assert plan.estimate == estimate_selectivity(
+            plan.compiled.predicate, index._index)
+
+    def test_linearize_compile_asks_each_leaf_once(self):
+        registry = _registry_for(["team", "rev"])
+        index = self.build()
+        compile_predicate(parse_predicate(self.LINEARIZE), registry, index)
+        assert len(index.calls) == 3
+        assert len(set(index.calls)) == 3
 
 
 def _registry_for(names):

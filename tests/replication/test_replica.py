@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.ham import HAM
 from repro.errors import NotPrimaryError, StorageError
+from repro.query.predicate import CompareOp
 from repro.replication.replica import Replica
 from repro.tools.verify import compare_graphs, fingerprint, verify_graph
 
@@ -131,6 +132,45 @@ class TestReplay:
             assert rep._epoch == primary._log.epoch > old_epoch
             assert rep.ham.open_node(node)[0] == b"post-checkpoint"
             assert fingerprint(rep.ham) == fingerprint(primary)
+
+    def test_resync_rebuilds_the_index_estimates(self, primary, tmp_path):
+        nodes, attr = _seed_writes(primary, count=6)
+        rev = primary.get_attribute_index("rev")
+        for n, node in enumerate(nodes):
+            primary.set_node_attribute_value(node=node, attribute=rev,
+                                             value=str(n * 7))
+        # A node that loses its last attribute leaves the universe.
+        primary.delete_node_attribute(node=nodes[0], attribute=attr)
+        primary.delete_node_attribute(node=nodes[0], attribute=rev)
+        with Replica(primary, tmp_path / "replica",
+                     poll_wait=0.1) as rep:
+            _await(rep, primary._log.durable_end())
+            before = rep.ham._index
+            primary.checkpoint()
+            node, t = primary.add_node()
+            primary.set_node_attribute_value(node=node, attribute=rev,
+                                             value="abc")
+            deadline = time.monotonic() + 10.0
+            while (rep._epoch != primary._log.epoch
+                   or rep.replayed_lsn < primary._log.durable_end()):
+                assert time.monotonic() < deadline, rep.failure
+                time.sleep(0.02)
+            rebuilt = rep.ham._index
+            assert rebuilt is not before
+            ours, theirs = primary._index, rebuilt
+            assert theirs.tracked_nodes == ours.tracked_nodes == 6
+            for name in ("color", "rev", "absent"):
+                assert theirs.presence_selectivity(name) == \
+                    ours.presence_selectivity(name)
+                for value in ("c1", "c5", "7", "21", "abc"):
+                    assert theirs.eq_selectivity(name, value) == \
+                        ours.eq_selectivity(name, value)
+                    assert theirs.ne_selectivity(name, value) == \
+                        ours.ne_selectivity(name, value)
+                    for op in (CompareOp.LT, CompareOp.LE,
+                               CompareOp.GT, CompareOp.GE):
+                        assert theirs.range_selectivity(name, op, value) \
+                            == ours.range_selectivity(name, op, value)
 
     def test_ephemeral_primary_cannot_ship(self, tmp_path):
         ham = HAM.ephemeral()
