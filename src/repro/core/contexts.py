@@ -212,30 +212,31 @@ class ContextManager:
         context._require_open()
         ham = self._ham
         report = MergeReport(context.context_id)
-
-        # Dry-run the content merges first so require_clean can bail
-        # before touching the graph.
-        planned: dict[NodeIndex, bytes] = {}
-        for node in context.edited_nodes:
-            current = ham.open_node(node)[0]
-            base = context._base_contents[node]
-            ours = context._edits[node]
-            if current == base:
-                planned[node] = ours
-            else:
+        with in_txn(ham, txn) as t:
+            # Read each edited node inside the merge transaction: the
+            # read takes the node's lock (in one sorted order for every
+            # merger) and holds it to commit, so no commit can land
+            # between the version merged against and the write.  The
+            # whole plan is made before the first write, so
+            # require_clean can bail having changed nothing.
+            planned: dict[NodeIndex, tuple[bytes, Time]] = {}
+            for node in context.edited_nodes:
+                current, __, ___, current_time = ham.open_node(node, txn=t)
+                base = context._base_contents[node]
+                ours = context._edits[node]
+                if current == base:
+                    planned[node] = ours, current_time
+                    continue
                 result = merge3_bytes(base, ours, current)
-                planned[node] = b"".join(result.merged)
+                planned[node] = b"".join(result.merged), current_time
                 report.three_way_nodes.append(node)
                 if not result.clean:
                     report.conflicts.append((node, result.conflicts))
-        if require_clean and report.conflicts:
-            raise MergeConflictError(
-                f"context {context.name!r} merge has conflicts on nodes "
-                f"{[node for node, __ in report.conflicts]}")
-
-        with in_txn(ham, txn) as t:
-            for node, contents in sorted(planned.items()):
-                current_time = ham.get_node_timestamp(node)
+            if require_clean and report.conflicts:
+                raise MergeConflictError(
+                    f"context {context.name!r} merge has conflicts on "
+                    f"nodes {[node for node, __ in report.conflicts]}")
+            for node, (contents, current_time) in sorted(planned.items()):
                 ham.modify_node(
                     t, node=node, expected_time=current_time,
                     contents=contents,

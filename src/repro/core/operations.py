@@ -862,28 +862,36 @@ def make_client_stub(operation: Operation, invoke: Callable) -> Callable:
     """Build a stub method for ``operation``.
 
     ``invoke(self, operation, wire_params)`` performs (or queues) the
-    call and returns the value the stub should return; the stub itself
-    only binds arguments against the declared signature and applies the
-    argument codecs — there is no per-operation marshalling code.
+    call and returns the value the stub should return.  The stub is
+    compiled once, the way :mod:`dataclasses` builds ``__init__``: a
+    real function with the operation's own parameter list, whose body
+    builds the wire mapping directly — Python's own argument binding
+    raises the usual ``TypeError`` for a wrong call, and no per-call
+    signature binding runs.
     """
-    signature = operation_signature(operation)
-    params = operation.params
-
-    def stub(self, *args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        arguments = bound.arguments
-        wire_params = {}
-        for param in params:
-            value = arguments[param.name]
-            if param.is_txn:
-                wire_params["txn"] = (None if value is None
-                                      else value.txn_id)
-            else:
-                wire_params[param.name] = param.codec.to_wire(value)
-        return invoke(self, operation, wire_params)
-
-    stub.__name__ = operation.name
+    namespace = {"_operation": operation, "_invoke": invoke}
+    positional, keyword, entries = ["self"], [], []
+    for number, param in enumerate(operation.params):
+        name = param.name
+        spec = name
+        if param.default is not REQUIRED:
+            namespace[f"_default{number}"] = param.default
+            spec = f"{name}=_default{number}"
+        (keyword if param.kw_only else positional).append(spec)
+        if param.is_txn:
+            value = f"None if {name} is None else {name}.txn_id"
+        elif param.codec.to_wire is _identity:
+            value = name
+        else:
+            namespace[f"_to_wire{number}"] = param.codec.to_wire
+            value = f"_to_wire{number}({name})"
+        entries.append(f"{name!r}: {value}")
+    arguments = ", ".join(positional + (["*"] + keyword if keyword else []))
+    source = (f"def {operation.name}({arguments}):\n"
+              f"    return _invoke(self, _operation, "
+              f"{{{', '.join(entries)}}})\n")
+    exec(source, namespace)
+    stub = namespace[operation.name]
     stub.__doc__ = operation.doc
     stub.__signature__ = operation_signature(operation, include_self=True)
     stub.__ham_operation__ = operation.name

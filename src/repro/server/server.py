@@ -1,10 +1,11 @@
 """The HAM server: one graph, many concurrent workstation sessions.
 
-Event-driven TCP server.  One selector thread owns every socket: it
-accepts sessions, reads framed requests non-blocking, and writes framed
-responses non-blocking.  Decoded requests are handed to a bounded pool
-of worker threads, so one slow call (or one slow client) never stalls
-the I/O loop or another session.
+Event-driven TCP server.  One selector thread accepts sessions and reads
+framed requests non-blocking; a bounded pool of worker threads executes
+them, so one slow call (or one slow client) never stalls the I/O loop
+or another session.  The thread that makes a frame sends it — a worker
+its replies, a committer its change-feed pushes — and only bytes the
+kernel refuses wait for the selector thread to flush them.
 
 Sessions may *pipeline*: many requests in flight at once, with responses
 matched by request id.  Per session, read-only operations (per the
@@ -158,15 +159,17 @@ class _Session:
         self.pending: collections.deque = collections.deque()
         self.running_reads = 0
         self.running_mutation = False
-        #: Response frames awaiting the socket (I/O thread only).
+        #: Frames the kernel has not taken yet, in production order, and
+        #: their total size.  Guarded by ``lock``, like every send.
         self.outbuf: collections.deque = collections.deque()
         self.out_offset = 0
-        #: Total buffered response bytes (guarded by ``lock`` so the
-        #: scheduler can check backpressure from worker threads).
         self.out_bytes = 0
+        #: A ``want_write`` command is posted and the outbuf not drained.
+        self.write_wanted = False
         self.paused = False
         #: No more requests will be admitted; flush and close.
         self.closing = False
+        #: No byte may reach the socket any more (set under ``lock``).
         self.closed = False
         self.cleanup_scheduled = False
         self.last_activity = _time.monotonic()
@@ -185,6 +188,100 @@ class _Session:
     def idle(self) -> bool:
         return (not self.pending and not self.running_reads
                 and not self.running_mutation)
+
+    def discard_locked(self) -> None:
+        """Mark the session closed and drop everything it still owes."""
+        self.closed = True
+        self.pending.clear()
+        self.outbuf.clear()
+        self.out_offset = 0
+        self.out_bytes = 0
+        self.server._schedule_cleanup_locked(self)
+
+    # ------------------------------------------------------------------
+    # sending (any thread; the caller of the *_locked forms holds lock)
+
+    def send(self, frames) -> None:
+        """Send ``frames`` from the thread that made them."""
+        with self.lock:
+            self.send_locked(frames)
+
+    def send_locked(self, frames) -> None:
+        """Queue ``frames`` behind any unsent bytes; when none were
+        queued, write them now."""
+        if self.closed:
+            return
+        idle = not self.outbuf
+        self.outbuf.extend(frames)
+        self.out_bytes += sum(map(len, frames))
+        if idle:
+            self.flush_locked()
+
+    def flush_locked(self) -> None:
+        """The one routine that writes session frames, on any thread.
+
+        What the kernel refuses stays queued, and one ``want_write``
+        command hands it to the I/O thread, which owns the selector.
+        """
+        if self.closed:
+            return
+        server = self.server
+        sock = self.sock
+        outbuf = self.outbuf
+        drained = 0
+        try:
+            while outbuf:
+                # With a fault injector installed, send strictly frame
+                # by frame so ``server.send`` fires (and can corrupt)
+                # each frame; otherwise gather the queued frames into
+                # one sendmsg syscall.
+                if (faults.INJECTOR is not None or not _HAS_SENDMSG
+                        or len(outbuf) == 1):
+                    frame = outbuf[0]
+                    if self.out_offset == 0 and faults.INJECTOR is not None:
+                        faults.fire("server.send", sock=sock, frame=frame)
+                    sent = sock.send(memoryview(frame)[self.out_offset:])
+                else:
+                    buffers = [memoryview(outbuf[0])[self.out_offset:]]
+                    buffers.extend(itertools.islice(outbuf, 1, 64))
+                    sent = sock.sendmsg(buffers)
+                while sent:
+                    remaining = len(outbuf[0]) - self.out_offset
+                    if sent < remaining:
+                        self.out_offset += sent
+                        break
+                    sent -= remaining
+                    drained += len(outbuf.popleft())
+                    self.out_offset = 0
+                if self.out_offset:
+                    break  # partial frame: the kernel buffer is full
+        except (BlockingIOError, InterruptedError):
+            pass
+        except faults.SimulatedCrash:
+            server._post(("die",))
+            raise
+        except (faults.FaultError, OSError):
+            self.discard_locked()
+            server._post(("close", self))
+            return
+        self.out_bytes -= drained
+        if not outbuf:
+            self.write_wanted = False
+            if self.closing:
+                server._post(("close", self))
+            else:
+                server._maybe_resume_locked(self)
+            return
+        # A consumer that stops reading its replies stops being read:
+        # admit no further requests until the pile drains.
+        pause = (self.out_bytes > server.config.max_outbuf_bytes
+                 and not self.paused and not self.closing)
+        if pause:
+            self.paused = True
+            server._count("paused_reads")
+        if pause or not self.write_wanted:
+            self.write_wanted = True
+            server._post(("want_write", self))
 
     def abort_leftovers(self) -> None:
         """Abort transactions (and detach subscriptions) left behind
@@ -235,10 +332,10 @@ class _Session:
         """Register a watch whose events push over this session's socket.
 
         Delivery runs on committer threads: the closure encodes one
-        ``{"push": "events", ...}`` frame and posts it to the I/O
-        thread, which interleaves it with ordinary responses through
-        the same bounded outbuf.  A frame that would push the outbuf
-        past ``max_outbuf_bytes`` raises the typed overflow error
+        ``{"push": "events", ...}`` frame and sends it itself, in order
+        with ordinary responses through the same bounded outbuf.  A
+        frame that would push the outbuf past ``max_outbuf_bytes``
+        raises the typed overflow error
         instead — the hub then cancels the feed (the slow consumer
         loses its subscription, never stalls the commit) and the
         ``fail`` closure best-effort ships one final cancel frame,
@@ -285,12 +382,12 @@ class _Session:
         return status
 
     def _push_frame(self, frame: bytes, unchecked: bool = False) -> None:
-        """Queue one unsolicited frame (called from committer threads).
+        """Send one unsolicited frame (called from committer threads).
 
-        Raises the typed overflow error when the frame would exceed the
-        session's response-byte bound; the projected size is advisory
-        (frames already posted but not yet queued by the I/O thread are
-        invisible here), which bounds the overshoot at one task batch.
+        Raises the typed overflow error when the frame would take the
+        session's unsent bytes past ``max_outbuf_bytes``.  The check and
+        the append share one hold of ``lock``, so the bound is exact:
+        only replies and the unchecked final cancel frame go past it.
         """
         with self.lock:
             if self.closed or self.closing:
@@ -303,7 +400,7 @@ class _Session:
                         f"subscriber backlog {projected} bytes exceeds "
                         f"max_outbuf_bytes={limit}")
                 SUBSCRIPTIONS.record_max("queue_high_water", projected)
-        self.server._post(("write", self, [frame]))
+            self.send_locked((frame,))
 
     # ------------------------------------------------------------------
     # request dispatch (runs on a worker thread)
@@ -477,7 +574,6 @@ class HAMServer:
         self._wake_pending = False
         self._draining = False
         self._drain_deadline: float | None = None
-        self._perished = False
 
         self._stats_lock = threading.Lock()
         self._counters = {
@@ -597,9 +693,9 @@ class HAMServer:
             self._listener.close()
         except OSError:
             pass
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self._session_list():
+            with session.lock:
+                session.closed = True
             try:
                 session.sock.close()
             except OSError:
@@ -631,12 +727,13 @@ class HAMServer:
         if name in ("accepted", "rejected", "timeouts", "paused_reads"):
             SERVER.increment(name)
 
-    def _record_depth(self, session: _Session) -> None:
-        """Track pipelining-depth and queue high-water marks.
+    def _session_list(self) -> list[_Session]:
+        with self._sessions_lock:
+            return list(self._sessions)
 
-        Called with ``session.lock`` held, right after admitting one
-        request.
-        """
+    def _record_depth(self, session: _Session) -> None:
+        """Track pipelining-depth and queue high-water marks (called with
+        ``session.lock`` held, right after admitting a decode batch)."""
         depth = session.depth()
         backlog = len(session.pending)
         with self._stats_lock:
@@ -672,9 +769,9 @@ class HAMServer:
     def _execute_task(self, session: _Session,
                       requests: list[object]) -> None:
         """Execute one scheduled task: a run of read-only requests or a
-        single mutation.  All its response frames ride one I/O-thread
-        wakeup, which is what keeps per-request overhead off the
-        pipelined read path."""
+        single mutation.  All its response frames leave in one send,
+        which is what keeps per-request overhead off the pipelined read
+        path."""
         read_only = (isinstance(requests[0], dict)
                      and requests[0].get("method") in _READ_ONLY)
         try:
@@ -682,7 +779,7 @@ class HAMServer:
                       for request in requests]
             self._count("dispatched", len(requests))
             session.last_activity = _time.monotonic()
-            self._post(("write", session, frames))
+            session.send(frames)
         finally:
             with session.lock:
                 if read_only:
@@ -693,10 +790,6 @@ class HAMServer:
                     self._schedule_cleanup_locked(session)
                 else:
                     self._pump_session_locked(session)
-
-    def _detach_capacity(self) -> bool:
-        with self._detached_lock:
-            return len(self._detached) < _MAX_DETACHED
 
     def _spawn_detached(self, session: _Session, run: list) -> None:
         """Run one long-poll request on its own thread (see _DETACHED)."""
@@ -720,14 +813,9 @@ class HAMServer:
         try:
             session.abort_leftovers()
         finally:
-            self._forget_session(session)
-
-    def _forget_session(self, session: _Session) -> None:
-        with self._sessions_lock:
-            try:
-                self._sessions.remove(session)
-            except ValueError:
-                pass
+            with self._sessions_lock:
+                if session in self._sessions:
+                    self._sessions.remove(session)
 
     # ------------------------------------------------------------------
     # the per-session scheduler
@@ -756,7 +844,7 @@ class HAMServer:
                 # fetch must not occupy a bounded pool worker (or stall
                 # this session's later reads behind its wait).
                 if (head.get("method") in _DETACHED
-                        and self._detach_capacity()):
+                        and len(self._detached) < _MAX_DETACHED):
                     session.pending.popleft()
                     session.running_reads += 1
                     self._spawn_detached(session, [head])
@@ -857,10 +945,12 @@ class HAMServer:
                     return False
                 command = self._commands.popleft()
             kind = command[0]
-            if kind == "write":
-                self._queue_frames(command[1], command[2])
+            if kind == "want_write":
+                self._want_write(command[1])
             elif kind == "resume":
                 self._resume_reading(command[1])
+            elif kind == "close":
+                self._close_session(command[1])
             elif kind == "shutdown":
                 if self._begin_shutdown(command[1]):
                     return True
@@ -880,9 +970,7 @@ class HAMServer:
         # No new requests are admitted during a drain: stop reading so
         # the drain condition (queues empty, buffers flushed) is
         # reachable even against a chatty client.
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self._session_list():
             self._pause_reading(session)
         return False
 
@@ -890,9 +978,7 @@ class HAMServer:
         if (self._drain_deadline is not None
                 and _time.monotonic() >= self._drain_deadline):
             return True
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self._session_list():
             if session.closed:
                 continue
             with session.lock:
@@ -902,15 +988,12 @@ class HAMServer:
 
     def _perish(self) -> None:
         """Simulated process death: drop every socket, no goodbyes."""
-        self._perished = True
         self._unregister_listener()
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
-            self._drop_session_socket(session)
+        for session in self._session_list():
             with session.lock:
                 session.closed = True
                 session.pending.clear()
+            self._drop_session_socket(session)
 
     # -- accepting ------------------------------------------------------
 
@@ -940,7 +1023,13 @@ class HAMServer:
                 session = _Session(self, sock, peer, busy=busy)
                 self._sessions.append(session)
             self._count("rejected" if busy else "accepted")
-            self._selector.register(sock, selectors.EVENT_READ, session)
+            try:
+                self._selector.register(sock, selectors.EVENT_READ,
+                                        session)
+            except KeyError:  # fd reused before a ``close`` command ran
+                self._close_session(self._selector.get_key(sock).data)
+                self._selector.register(sock, selectors.EVENT_READ,
+                                        session)
             session.read_registered = True
 
     # -- reading --------------------------------------------------------
@@ -954,10 +1043,7 @@ class HAMServer:
             data = session.sock.recv(65536)
         except (BlockingIOError, InterruptedError):
             return
-        except faults.FaultError:
-            self._close_session(session)
-            return
-        except OSError:
+        except (faults.FaultError, OSError):
             self._close_session(session)
             return
         if not data:
@@ -994,118 +1080,33 @@ class HAMServer:
     def _reject_busy(self, session: _Session, messages: list) -> None:
         """Answer a rejected session's requests with ServerBusy, then
         close once the replies flush."""
-        for message in messages:
-            request_id = (message.get("id")
-                          if isinstance(message, dict) else None)
-            self._queue_frame(session, encode_message({
-                "id": request_id, "ok": False,
-                "error": {"type": "ServerBusyError",
-                          "message": "server connection limit reached; "
-                                     "try again later"}}))
+        frames = [encode_message({
+            "id": message.get("id") if isinstance(message, dict) else None,
+            "ok": False,
+            "error": {"type": "ServerBusyError",
+                      "message": "server connection limit reached; "
+                                 "try again later"}})
+            for message in messages]
         session.closing = True
+        session.send(frames)
         self._pause_reading(session)
 
     # -- writing --------------------------------------------------------
 
-    def _queue_frame(self, session: _Session, frame: bytes) -> None:
-        self._queue_frames(session, (frame,))
-
-    def _queue_frames(self, session: _Session, frames) -> None:
-        if session.closed:
-            return
-        session.outbuf.extend(frames)
-        pause = False
-        with session.lock:
-            session.out_bytes += sum(len(frame) for frame in frames)
-            # A consumer that stops reading its replies stops being
-            # read: admit no further requests until the pile drains.
-            if (session.out_bytes > self.config.max_outbuf_bytes
-                    and not session.paused and not session.closing):
-                session.paused = True
-                pause = True
-        if pause:
-            self._count("paused_reads")
-            self._pause_reading(session)
-        self._want_write(session)
-        self._on_writable(session)  # opportunistic immediate flush
-
     def _on_writable(self, session: _Session) -> None:
-        if session.closed:
-            return
-        sock = session.sock
-        drained = 0
-        try:
-            while session.outbuf:
-                # With a fault injector installed, send strictly frame
-                # by frame so ``server.send`` fires (and can corrupt)
-                # each response; otherwise gather the queued frames
-                # into one sendmsg syscall.
-                per_frame = (faults.INJECTOR is not None
-                             or not _HAS_SENDMSG
-                             or len(session.outbuf) == 1)
-                if per_frame:
-                    frame = session.outbuf[0]
-                    if (session.out_offset == 0
-                            and faults.INJECTOR is not None):
-                        try:
-                            faults.fire("server.send", sock=sock,
-                                        frame=frame)
-                        except faults.FaultError:
-                            self._close_session(session)
-                            return
-                    payload = memoryview(frame)[session.out_offset:]
-                else:
-                    payload = None
-                try:
-                    if per_frame:
-                        sent = sock.send(payload)
-                    else:
-                        buffers = [memoryview(session.outbuf[0])
-                                   [session.out_offset:]]
-                        buffers.extend(
-                            itertools.islice(session.outbuf, 1, 64))
-                        sent = sock.sendmsg(buffers)
-                except (BlockingIOError, InterruptedError):
-                    break
-                except OSError:
-                    self._close_session(session)
-                    return
-                while sent:
-                    frame = session.outbuf[0]
-                    remaining = len(frame) - session.out_offset
-                    if sent >= remaining:
-                        sent -= remaining
-                        drained += len(frame)
-                        session.outbuf.popleft()
-                        session.out_offset = 0
-                    else:
-                        session.out_offset += sent
-                        sent = 0
-                if session.out_offset:
-                    break  # partial frame: the kernel buffer is full
-        finally:
-            if drained:
-                with session.lock:
-                    session.out_bytes -= drained
-        if session.outbuf:
-            self._want_write(session)
-        else:
+        """Flush what the kernel refused earlier (selector thread)."""
+        with session.lock:
+            session.flush_locked()
+            drained = not session.outbuf
+        if drained:
             self._unwant_write(session)
-            if session.closing:
-                self._close_session(session)
-                return
-            with session.lock:
-                self._maybe_resume_locked(session)
 
     # -- selector interest management (I/O thread only) -----------------
 
-    def _mask(self, session: _Session) -> int:
-        return ((selectors.EVENT_READ if session.read_registered else 0)
+    def _modify(self, session: _Session) -> None:
+        mask = ((selectors.EVENT_READ if session.read_registered else 0)
                 | (selectors.EVENT_WRITE if session.write_registered
                    else 0))
-
-    def _modify(self, session: _Session) -> None:
-        mask = self._mask(session)
         try:
             if mask:
                 self._selector.modify(session.sock, mask, session)
@@ -1119,8 +1120,11 @@ class HAMServer:
                     pass
 
     def _want_write(self, session: _Session) -> None:
-        if not session.write_registered and not session.closed:
+        """Watch for writability; a paused session also stops reading."""
+        if not session.closed:
             session.write_registered = True
+            if session.paused:
+                session.read_registered = False
             self._modify(session)
 
     def _unwant_write(self, session: _Session) -> None:
@@ -1169,23 +1173,16 @@ class HAMServer:
         Safe to call repeatedly; runs on the I/O thread.  In-flight
         requests finish on their workers (their responses are dropped);
         the leftover-transaction abort runs as a worker task once the
-        session quiesces.
+        session quiesces.  The session is marked closed under its lock
+        before the socket closes, so no send can reach a closed socket.
         """
-        if session.closed:
-            return
-        self._drop_session_socket(session)
         with session.lock:
-            session.closed = True
-            session.pending.clear()
-            session.outbuf.clear()
-            session.out_offset = 0
-            session.out_bytes = 0
-            self._schedule_cleanup_locked(session)
+            if not session.closed:
+                session.discard_locked()
+        self._drop_session_socket(session)
 
     def _close_all_sessions(self, discard: bool) -> None:
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self._session_list():
             if not discard and not session.closed:
                 self._on_writable(session)  # final flush attempt
             self._close_session(session)
@@ -1197,9 +1194,7 @@ class HAMServer:
         if limit is None or self._draining:
             return
         now = _time.monotonic()
-        with self._sessions_lock:
-            sessions = list(self._sessions)
-        for session in sessions:
+        for session in self._session_list():
             if session.closed or session.busy:
                 continue
             with session.lock:

@@ -34,3 +34,24 @@ def two_linked_nodes(ham):
         link, __ = ham.add_link(txn, from_pt=LinkPt(node_a, position=5),
                                 to_pt=LinkPt(node_b))
     return ham, node_a, node_b, link
+
+
+@pytest.fixture
+def race_before_merge(monkeypatch):
+    """``race(session, ham, node, contents)``: commit ``contents`` to
+    ``node`` through ``ham`` the moment ``session`` opens its next
+    transaction — after a context merge could have read the base outside
+    it, before the merge transaction starts."""
+    def race(session, ham, node, contents):
+        real_begin = session.begin
+
+        def begin(*args, **kwargs):
+            monkeypatch.setattr(session, "begin", real_begin)
+            ham.modify_node(node=node,
+                            expected_time=ham.get_node_timestamp(node),
+                            contents=contents)
+            return real_begin(*args, **kwargs)
+
+        monkeypatch.setattr(session, "begin", begin)
+
+    return race

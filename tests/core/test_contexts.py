@@ -156,6 +156,43 @@ class TestMerge:
         assert "feature-x" in major[-1].explanation
 
 
+class TestMergeRacingACommit:
+    """A commit that lands just before the merge transaction is merged
+    against, never overwritten."""
+
+    def test_racing_edit_survives(self, base, race_before_merge):
+        ham, manager, node = base
+        context = manager.create("private")
+        context.modify_node(node, b"OURS\nline two\nline three\n")
+        race_before_merge(ham, ham, node,
+                          b"line one\nline two\nTHEIRS\n")
+        report = manager.merge(context)
+        assert ham.open_node(node)[0] == b"OURS\nline two\nTHEIRS\n"
+        assert report.clean
+        assert report.three_way_nodes == [node]
+
+    def test_racing_conflict_is_reported(self, base, race_before_merge):
+        ham, manager, node = base
+        context = manager.create("private")
+        context.modify_node(node, b"line one\nOURS\nline three\n")
+        race_before_merge(ham, ham, node,
+                          b"line one\nTHEIRS\nline three\n")
+        report = manager.merge(context)
+        assert not report.clean
+        assert report.conflicts[0][0] == node
+
+    def test_racing_conflict_fails_require_clean(self, base,
+                                                 race_before_merge):
+        ham, manager, node = base
+        context = manager.create("private")
+        context.modify_node(node, b"line one\nOURS\nline three\n")
+        race_before_merge(ham, ham, node,
+                          b"line one\nTHEIRS\nline three\n")
+        with pytest.raises(MergeConflictError):
+            manager.merge(context, require_clean=True)
+        assert ham.open_node(node)[0] == b"line one\nTHEIRS\nline three\n"
+
+
 class TestAbandon:
     def test_abandoned_context_changes_nothing(self, base):
         ham, manager, node = base

@@ -138,3 +138,19 @@ class TestContextsOverRpc:
         report = manager.merge(context)
         assert report.clean
         assert ham.open_node(node)[0] == b"A\nb\nC\n"
+
+    def test_commit_racing_a_remote_merge_survives(self, remote,
+                                                   race_before_merge):
+        from repro import ContextManager
+        ham, client = remote
+        node, time = client.add_node()
+        client.modify_node(node=node, expected_time=time,
+                           contents=b"a\nb\nc\n")
+        manager = ContextManager(client)
+        context = manager.create("fork")
+        context.modify_node(node, b"A\nb\nc\n")
+        race_before_merge(client, ham, node, b"a\nb\nC\n")
+        report = manager.merge(context)
+        assert ham.open_node(node)[0] == b"A\nb\nC\n"
+        assert report.clean
+        assert report.three_way_nodes == [node]

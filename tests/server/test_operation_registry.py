@@ -16,11 +16,16 @@ import pytest
 
 import repro.errors as errors_module
 from repro import HAM, LinkPt
+from repro.core.demons import EventKind
 from repro.core.operations import (
     PROTOCOL_VERSION,
     REGISTRY,
+    REQUIRED,
     MiddlewareChain,
+    make_client_stub,
+    operation_signature,
 )
+from repro.core.types import Protections
 from repro.errors import (
     NeptuneError,
     NodeNotFoundError,
@@ -103,6 +108,129 @@ class TestRegistryCoverage:
                                     "contents", "attachments",
                                     "explanation"]
         assert parameters["node"].kind is inspect.Parameter.KEYWORD_ONLY
+
+
+# ======================================================================
+# Compiled client stubs against the bind-based encoding they replace
+
+def _bind_reference(operation, args, kwargs):
+    """The stub body before stubs were compiled: bind the call against
+    the declared signature, apply defaults, encode in declared order."""
+    bound = operation_signature(operation).bind(*args, **kwargs)
+    bound.apply_defaults()
+    wire_params = {}
+    for param in operation.params:
+        value = bound.arguments[param.name]
+        if param.is_txn:
+            wire_params["txn"] = None if value is None else value.txn_id
+        else:
+            wire_params[param.name] = param.codec.to_wire(value)
+    return wire_params
+
+
+class _Txn:
+    txn_id = 41
+
+
+#: One argument per codec a parameter uses (identity: a plain int).
+_SAMPLES = {
+    "contents": bytearray(b"line one\n"),
+    "protections": Protections.READ,
+    "event-kind": EventKind.MODIFY_NODE,
+    "event-kind-seq": (EventKind.MODIFY_NODE, EventKind.ADD_NODE),
+    "link-pt": LinkPt(node=3, position=2),
+    "index-seq": (4, 5),
+    "attachments": ((7, "from", 9),),
+}
+
+
+def _stub_calls(operation):
+    """(args, kwargs) pairs: required-only by keyword, everything
+    supplied (positional where the signature allows), and ``txn=``."""
+    def sample(param, plain):
+        return _Txn() if param.is_txn else _SAMPLES.get(param.codec.name,
+                                                         plain)
+
+    required = {p.name: sample(p, 7)
+                for p in operation.params if p.default is REQUIRED}
+    calls = [((), dict(required))]
+    args, kwargs = [], {}
+    for param in operation.params:
+        value = sample(param, 11)
+        if param.kw_only:
+            kwargs[param.name] = value
+        else:
+            args.append(value)
+    calls.append((tuple(args), kwargs))
+    if operation.transactional:
+        calls.append(((), dict(required, txn=_Txn())))
+    return calls
+
+
+class TestCompiledStubs:
+    @staticmethod
+    def _capture(operation):
+        return make_client_stub(
+            operation, lambda self, op, wire_params: (op, wire_params))
+
+    def test_signatures_unchanged_for_every_operation(self):
+        for operation in REGISTRY:
+            stub = self._capture(operation)
+            assert inspect.signature(stub) == operation_signature(
+                operation, include_self=True), operation.name
+            assert stub.__name__ == operation.name
+            assert stub.__doc__ == operation.doc
+
+    def test_wire_params_equal_the_bind_encoding(self):
+        checked = 0
+        for operation in REGISTRY:
+            stub = self._capture(operation)
+            for args, kwargs in _stub_calls(operation):
+                op, wire_params = stub(None, *args, **kwargs)
+                assert op is operation
+                reference = _bind_reference(operation, args, kwargs)
+                assert wire_params == reference, operation.name
+                assert ([(k, type(v)) for k, v in wire_params.items()]
+                        == [(k, type(v)) for k, v in reference.items()])
+                checked += 1
+        assert checked > 2 * len(REGISTRY)
+
+    def test_defaults_are_the_declared_objects(self):
+        stub = self._capture(REGISTRY.get("open_node"))
+        __, wire_params = stub(None, 5)
+        assert wire_params == {"node": 5, "time": 0, "attributes": [],
+                               "txn": None}
+        __, wire_params = stub(None, 5, 3, (1, 2), _Txn())
+        assert wire_params == {"node": 5, "time": 3, "attributes": [1, 2],
+                               "txn": 41}
+
+    def test_wrong_calls_raise_type_error(self):
+        modify = self._capture(REGISTRY.get("modify_node"))
+        open_node = self._capture(REGISTRY.get("open_node"))
+        with pytest.raises(TypeError):
+            modify(None, node=1, expected_time=2)  # contents missing
+        with pytest.raises(TypeError):
+            modify(None, None, 1, 2, b"x")  # keyword-only as positional
+        with pytest.raises(TypeError):
+            open_node(None)
+        with pytest.raises(TypeError):
+            open_node(None, 1, node=1)
+        with pytest.raises(TypeError):
+            open_node(None, 1, bogus=True)
+        with pytest.raises(TypeError):
+            open_node(None, 1, 2, (), None, "extra")
+
+    def test_remote_stubs_reject_wrong_calls_before_the_wire(self):
+        ham = HAM.ephemeral()
+        with HAMServer(ham) as server:
+            client = RemoteHAM(*server.address)
+            try:
+                with pytest.raises(TypeError):
+                    client.open_node()
+                node, time = client.add_node()
+                assert client.open_node(node)[3] == time
+            finally:
+                client.close()
 
 
 # ======================================================================
