@@ -306,6 +306,11 @@ def _apply_change_node_protection(store: GraphStore, args: dict) -> None:
     return None
 
 
+def _endpoint_list(ends) -> list[tuple[LinkIndex, str]]:
+    """``(link, end)`` pairs in a stable, printable order."""
+    return sorted((link, end.value) for link, end in ends)
+
+
 class _TxnScope:
     """Run one operation in a caller's transaction or a fresh auto one.
 
@@ -586,7 +591,8 @@ class HAM:
         if self._directory is None:
             return
         with self._state_lock:
-            snapshot_id = self._directory.append_snapshot(self._store)
+            snapshot_id = self._directory.append_snapshot(
+                self._store, keep_rows=True)
             self._txns.checkpoint_mark(snapshot_id)
             meta = self._directory.read_meta()
             meta["previous"] = meta.get("snapshot")
@@ -1211,7 +1217,8 @@ class HAM:
                 if missing or unknown:
                     raise VersionError(
                         f"modifyNode attachments mismatch: missing "
-                        f"{sorted(missing)}, unknown {sorted(unknown)}")
+                        f"{_endpoint_list(missing)}, unknown "
+                        f"{_endpoint_list(unknown)}")
                 for (link_index, end), position in sorted(supplied.items(),
                                                           key=lambda kv:
                                                           (kv[0][0],

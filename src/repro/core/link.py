@@ -52,6 +52,8 @@ class LinkRecord:
                 timeline = Timeline()
                 timeline.append(created_at, pt.position)
                 self._offsets[end] = timeline
+        #: Encoded snapshot row (see :attr:`NodeRecord._encoded`).
+        self._encoded: bytes | None = None
 
     # ------------------------------------------------------------------
     # existence
@@ -163,6 +165,7 @@ class LinkRecord:
             end: timeline.clone()
             for end, timeline in self._offsets.items()
         }
+        link._encoded = None
         return link
 
     # ------------------------------------------------------------------
@@ -202,4 +205,5 @@ class LinkRecord:
             for stamp, offset in entries:
                 timeline.append(stamp, offset)
             link._offsets[LinkEnd(end)] = timeline
+        link._encoded = None
         return link

@@ -84,6 +84,11 @@ class NodeRecord:
         self._file_contents: bytes = b""
         self._file_time: Time = created_at
         self._file_hash: bytes | None = None
+        #: This record's encoded snapshot row, kept by the checkpoint
+        #: (see :meth:`GraphStore.encode_snapshot`).  Valid because a
+        #: published record is never mutated: commits clone it, and the
+        #: plain store's ``node_for_write`` clears it.
+        self._encoded: bytes | None = None
         if kind is not NodeKind.ARCHIVE:
             self._file_hash = content_hash(b"")
             if catalog is not None:
@@ -202,40 +207,12 @@ class NodeRecord:
                 f"node {self.index}: check-in expected version "
                 f"{expected_time} but current is {self.current_time}")
 
-    def rollback_modify(self, previous_contents: bytes,
-                        previous_time: Time) -> None:
-        """Undo the latest :meth:`modify` (transaction-abort primitive).
-
-        For archives the delta chain pops its newest version; for files
-        the caller supplies the prior contents and time it captured before
-        modifying.
-        """
-        dropped = self.current_time
-        if self._archive is not None:
-            self._archive.rollback_last()
-        else:
-            previous_contents = bytes(previous_contents)
-            digest = content_hash(previous_contents)
-            if self._catalog is not None:
-                if self._file_hash is not None:
-                    self._catalog.release(self._file_hash)
-                previous_contents, digest = self._catalog.intern(
-                    previous_contents, digest)
-            self._file_contents = previous_contents
-            self._file_hash = digest
-            self._file_time = previous_time
-        self._explanations.pop(dropped, None)
-
     # ------------------------------------------------------------------
     # version history
 
     def record_minor_event(self, time: Time, explanation: str) -> None:
         """Record a non-content update (attribute edit, link attachment)."""
         self._minor_events.append(Version(time, explanation))
-
-    def pop_minor_event(self) -> None:
-        """Drop the latest minor-version entry (abort primitive)."""
-        self._minor_events.pop()
 
     def major_versions(self) -> list[Version]:
         """``Version₁⁺``: all content versions, oldest first."""
@@ -305,6 +282,7 @@ class NodeRecord:
         node._file_contents = self._file_contents
         node._file_time = self._file_time
         node._file_hash = self._file_hash
+        node._encoded = None
         return node
 
     def rebind_catalog(self, catalog) -> None:
@@ -391,4 +369,5 @@ class NodeRecord:
             # Pre-catalog record: derive the digest once.
             file_hash = content_hash(node._file_contents)
         node._file_hash = file_hash
+        node._encoded = None
         return node

@@ -96,8 +96,12 @@ class Replica:
         #: Serializes ingest/resync against promotion and status reads.
         self._apply_lock = threading.RLock()
         self._promoted = False
-        #: Last exception that killed or stalled the apply loop.
+        #: The error the apply loop is retrying past (or the one that
+        #: ended it); cleared by the next good step.
         self.failure: BaseException | None = None
+        #: True while a chunk is applied or a resync runs; still true
+        #: after a failed step, whose retry must resync first.
+        self._resync_due = False
         #: Transfer accounting for the most recent bootstrap/resync:
         #: bytes actually shipped, blobs shipped, blobs satisfied from
         #: payloads this replica already held (manifest reuse).
@@ -213,7 +217,13 @@ class Replica:
         self._commits = 0
 
     def _resync(self) -> None:
-        """Rebuild from a fresh snapshot after corruption or truncation."""
+        """Rebuild from a fresh snapshot after corruption or truncation.
+
+        Due until it completes: it rebases the local log before it swaps
+        the store, so a resync that fails part-way must be retried
+        before anything else is fetched.
+        """
+        self._resync_due = True
         ham = self.ham
         # The live catalog is the richest ``have`` pool: it holds every
         # payload the replayed state retains, so a resync ships only
@@ -237,6 +247,7 @@ class Replica:
 
         ham._txns.resync_base(store.clock, swap)
         self._reset_cursor(int(snap["lsn"]), int(snap["epoch"]))
+        self._resync_due = False
 
     # ------------------------------------------------------------------
     # the apply loop
@@ -259,31 +270,52 @@ class Replica:
             raise
 
     def _step(self) -> None:
+        """One fetch-and-apply step, under the apply thread's one policy.
+
+        Any :class:`NeptuneError` or ``OSError`` — from the fetch, a
+        resync's ``repl_snapshot`` or an ingest — is recorded in
+        :attr:`failure`, and the step is retried after
+        ``retry_interval`` against whatever :attr:`_source` is current
+        then (``retarget`` may have moved it).  A step that fails while
+        applying a chunk or resyncing leaves the cursor, the log and the
+        store out of step, so the retry starts with a resync.  The next
+        good step clears :attr:`failure`.  Anything else,
+        :class:`SimulatedCrash` included, ends the thread (see
+        :meth:`_run`).
+        """
         try:
-            reply = self._source.repl_subscribe(
-                from_lsn=self._stream_end, epoch=self._epoch,
-                max_bytes=self.max_bytes, wait=self.poll_wait,
-                ack=self.replayed_lsn, subscriber=self.name)
-        except NeptuneError as exc:
+            self._fetch_and_apply()
+        except (NeptuneError, OSError) as exc:
             self.failure = exc
             self._stop.wait(self.retry_interval)
+        else:
+            self.failure = None
+
+    def _fetch_and_apply(self) -> None:
+        if self._resync_due:
+            with self._apply_lock:
+                if not self._stop.is_set():
+                    self._resync()
             return
-        except OSError as exc:
-            self.failure = exc
-            self._stop.wait(self.retry_interval)
-            return
+        source = self._source
+        reply = source.repl_subscribe(
+            from_lsn=self._stream_end, epoch=self._epoch,
+            max_bytes=self.max_bytes, wait=self.poll_wait,
+            ack=self.replayed_lsn, subscriber=self.name)
         if self._stop.is_set():
             return
         with self._apply_lock:
-            if self._stop.is_set():
-                return
+            if self._stop.is_set() or self._source is not source:
+                return  # stopped, or retargeted: the reply is stale
             if reply.get("resync"):
                 self._resync()
                 return
             self._source_durable = int(reply["durable_lsn"])
             data = reply.get("data") or b""
             if data:
+                self._resync_due = True  # until the whole chunk applied
                 self._ingest(data)
+                self._resync_due = False
             lag = max(0, self._source_durable - self.replayed_lsn)
             REPLICATION.record("lag_bytes", lag)
 
@@ -401,6 +433,8 @@ class Replica:
                 "commits_applied": self._commits,
                 "subscriber": self.name,
                 "streaming": alive and not self._stop.is_set(),
+                "failure": (None if self.failure is None
+                            else repr(self.failure)),
             }
 
     def promote(self) -> None:
@@ -443,13 +477,23 @@ class Replica:
     def retarget(self, source) -> None:
         """Follow a promotion: stream from a new primary.
 
-        The cursor carries over untouched — the promoted replica's log
-        holds the identical global byte stream (same ``base_lsn``, same
-        epoch), so the next fetch simply continues; if the new primary
-        has since checkpointed, the epoch mismatch resyncs as usual.
+        The cursor carries over to the last complete frame — the
+        promoted replica's log holds the identical global byte stream
+        (same ``base_lsn``, same epoch) up to the point where it cut its
+        own torn tail, so the next fetch simply continues; if the new
+        primary has since checkpointed, the epoch mismatch resyncs as
+        usual.  Bytes of an incomplete frame are dropped here, exactly
+        as :meth:`promote` drops them: past the new primary's cut its
+        log holds different frames, and completing the old frame with
+        them would assemble a bogus length this replica waits on for
+        ever.
         """
         with self._apply_lock:
             self._source = source
+            if self._buffer:
+                self.ham._log.discard_tail(self._parse_lsn)
+                self._buffer = bytearray()
+                self._stream_end = self._parse_lsn
 
     def stop(self) -> None:
         """Stop the fetch thread (the replica keeps serving reads)."""

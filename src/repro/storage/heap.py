@@ -20,11 +20,7 @@ from typing import Iterator
 
 from repro.errors import ChecksumError, StorageError
 from repro.storage.pager import Pager, PAGE_SIZE
-from repro.storage.serializer import (
-    RECORD_HEADER,
-    pack_record,
-    unpack_record,
-)
+from repro.storage.serializer import RECORD_HEADER, unpack_record
 from repro.testing import faults
 
 __all__ = ["RecordHeap", "RecordId"]
@@ -36,6 +32,8 @@ _MAGIC = b"NEPTHEAP"
 _FORMAT_VERSION = 2
 #: magic, version, append cursor, CRC32 of the preceding fields.
 _HEADER = struct.Struct("<8sIQI")
+#: Bytes of parts :meth:`RecordHeap.append` gathers per pager run.
+_RUN_BYTES = 16 * PAGE_SIZE
 
 
 class RecordHeap:
@@ -104,18 +102,30 @@ class RecordHeap:
     # ------------------------------------------------------------------
     # record operations
 
-    def append(self, payload: bytes) -> RecordId:
-        """Append a record; returns its stable :class:`RecordId`."""
-        framed = pack_record(payload)
+    def append(self, *parts: bytes) -> RecordId:
+        """Append one record whose payload is ``parts`` joined; returns
+        its stable :class:`RecordId`.
+
+        The parts are never joined: their length and CRC32 are summed
+        incrementally, and they are written one after another behind
+        the frame header, so a many-part snapshot costs no payload-sized
+        copy.  The ``heap.write`` fault point sees the framed record as
+        ``parts`` (header first).
+        """
+        length = 0
+        checksum = 0
+        for part in parts:
+            length += len(part)
+            checksum = zlib.crc32(part, checksum)
+        framed = (RECORD_HEADER.pack(length, checksum), *parts)
         with self._lock:
             record_id = self._cursor
             if self._align and record_id % PAGE_SIZE:
                 record_id += PAGE_SIZE - record_id % PAGE_SIZE
             if faults.INJECTOR is not None:
                 faults.fire("heap.write", path=self.path, offset=record_id,
-                            data=framed)
-            self._write_bytes(record_id, framed)
-            self._cursor = record_id + len(framed)
+                            parts=framed)
+            self._cursor = self._write_parts(record_id, framed)
             return record_id
 
     def read(self, record_id: RecordId) -> bytes:
@@ -150,16 +160,34 @@ class RecordHeap:
     # ------------------------------------------------------------------
     # byte-level access across page boundaries
 
+    def _write_parts(self, offset: int, parts) -> int:
+        """Write ``parts`` back to back from ``offset``; returns the end.
+
+        Parts (snapshot rows, mostly small) are gathered into runs of at
+        least :data:`_RUN_BYTES`, so the pager is called per page rather
+        than per part, and no run outgrows one part plus that bound.
+        """
+        run = bytearray()
+        for part in parts:
+            run += part
+            if len(run) >= _RUN_BYTES:
+                self._write_bytes(offset, run)
+                offset += len(run)
+                run = bytearray()
+        self._write_bytes(offset, run)
+        return offset + len(run)
+
     def _write_bytes(self, offset: int, data: bytes) -> None:
         position = 0
-        while position < len(data):
-            page_id = (offset + position) // PAGE_SIZE
-            in_page = (offset + position) % PAGE_SIZE
-            while page_id >= self._pager.page_count:
-                self._pager.allocate_page()
-            chunk = data[position:position + PAGE_SIZE - in_page]
-            self._pager.write_slice(page_id, in_page, chunk)
-            position += len(chunk)
+        with memoryview(data) as view:
+            while position < len(view):
+                page_id = (offset + position) // PAGE_SIZE
+                in_page = (offset + position) % PAGE_SIZE
+                while page_id >= self._pager.page_count:
+                    self._pager.allocate_page()
+                chunk = view[position:position + PAGE_SIZE - in_page]
+                self._pager.write_slice(page_id, in_page, chunk)
+                position += len(chunk)
 
     def _read_bytes(self, offset: int, length: int) -> bytes:
         parts = []

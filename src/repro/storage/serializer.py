@@ -53,7 +53,7 @@ import zlib
 from repro.errors import ChecksumError, StorageError
 
 __all__ = ["encode_value", "decode_value", "pack_record", "unpack_record",
-           "gc_paused", "RECORD_HEADER"]
+           "list_header", "dict_header", "gc_paused", "RECORD_HEADER"]
 
 #: Record framing header: payload length (u32) then CRC32 of payload (u32).
 RECORD_HEADER = struct.Struct("<II")
@@ -147,6 +147,22 @@ def encode_value(value: object) -> bytes:
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
+
+
+def list_header(count: int) -> bytes:
+    """The bytes :func:`encode_value` writes before a list's ``count`` items.
+
+    A caller that already holds each item's encoding can stream the list
+    as this header followed by those encodings, byte-identical to
+    encoding the whole list.
+    """
+    return _pack_header(_TAG_LIST, count)
+
+
+def dict_header(count: int) -> bytes:
+    """The bytes :func:`encode_value` writes before a dict's ``count``
+    key/value pairs (see :func:`list_header`)."""
+    return _pack_header(_TAG_DICT, count)
 
 
 def _decode_from(data: bytes, offset: int) -> tuple[object, int]:

@@ -690,6 +690,11 @@ def _failover_primary_kill(base, ham, hub, oracle, node, attr, seed,
         racer.join(timeout=10.0)
         assert not racer.is_alive(), "commit wedged across primary death"
 
+        # Freeze both streams before choosing: a replica still reading
+        # the dying primary's log could overtake the one chosen, and a
+        # survivor ahead of the new primary holds frames it never wrote.
+        for rep in (rep_a, rep_b):
+            rep.stop()
         promoted = max((rep_a, rep_b), key=lambda rep: rep.replayed_lsn)
         survivor = rep_b if promoted is rep_a else rep_a
         promoted.promote()
@@ -697,6 +702,7 @@ def _failover_primary_kill(base, ham, hub, oracle, node, attr, seed,
         # The survivor re-routes to the promoted primary and catches up
         # on its existing cursor (same global LSNs, same epoch).
         survivor.retarget(promoted.ham)
+        survivor.start()
         for step in range(commits + 10, commits + 13):
             _staged_failover_commit(promoted.ham, oracle, node, attr,
                                     seed, step)

@@ -29,6 +29,7 @@ Injection points
                            confined to the not-yet-forced region)
 ``pager.write``            before a dirty page writes through
 ``heap.write``             before a heap record's bytes are placed
+                           (handed over as its framed ``parts``)
 ``server.send``            before a response frame is sent
 ``server.recv``            before a request frame is read
 ``server.dispatch``        in a worker, before an admitted (possibly
@@ -212,7 +213,7 @@ class FaultInjector:
             self._corrupt_sock(spec, ctx)
         elif "buffer" in ctx:
             self._corrupt_buffer(spec, ctx)
-        elif "data" in ctx:
+        elif "data" in ctx or "parts" in ctx:
             self._corrupt_pre_write(spec, ctx)
         elif ctx.get("length"):
             self._corrupt_region(spec, ctx)
@@ -235,10 +236,14 @@ class FaultInjector:
 
         The injector performs the (torn or bit-flipped) write itself via
         its own descriptor, then crashes sticky so the intact write
-        never lands.
+        never lands.  A point that streams its write as ``parts`` (the
+        snapshot heap) is joined here, only because it is corrupted.
         """
         path, offset = ctx["path"], ctx["offset"]
-        data = bytes(ctx["data"])
+        if "parts" in ctx:
+            data = b"".join(ctx["parts"])
+        else:
+            data = bytes(ctx["data"])
         if spec.action == "truncate":
             keep = self._rng.randrange(len(data)) if data else 0
             written = data[:keep]

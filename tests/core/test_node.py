@@ -125,26 +125,6 @@ class TestVersionHistory:
         node.record_minor_event(3, "early")
         assert [v.time for v in node.minor_versions()] == [3, 7]
 
-    def test_pop_minor_event(self):
-        node = make_archive()
-        node.record_minor_event(3, "one")
-        node.pop_minor_event()
-        assert node.minor_versions() == []
-
-    def test_rollback_modify_archive(self):
-        node = make_archive()
-        node.modify(b"v2", expected_time=1, time=2)
-        node.rollback_modify(b"", 1)
-        assert node.contents_at() == b""
-        assert node.current_time == 1
-
-    def test_rollback_modify_file(self):
-        node = make_file()
-        node.modify(b"v2", expected_time=1, time=2)
-        node.rollback_modify(b"", 1)
-        assert node.contents_at() == b""
-        assert node.current_time == 1
-
     def test_storage_stats_only_for_archives(self):
         assert make_file().storage_stats() is None
         assert make_archive().storage_stats() is not None

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.graph import GraphDirectory, GraphStore
 from repro.core.ham import HAM
+from repro.core.node import NodeRecord
 from repro.errors import RecoveryError, StorageError
 from repro.replication.replica import Replica
 from repro.storage import serializer
@@ -119,8 +120,10 @@ class TestSnapshotPhasesRestoreGc:
                                           monkeypatch):
         project_id, path = _graph(tmp_path)
         with HAM.open_graph(project_id, path) as ham:
-            monkeypatch.setattr(GraphStore, "to_snapshot",
-                                lambda store: {"bad": object()})
+            # The checkpoint encodes each row that has no kept encoding
+            # (all of them, right after a load) from its record.
+            monkeypatch.setattr(NodeRecord, "to_record",
+                                lambda node: {"bad": object()})
             with pytest.raises(StorageError):
                 ham.checkpoint()
             assert gc.isenabled() is gc_state

@@ -1,0 +1,238 @@
+"""A checkpoint's kept row encodings never go stale.
+
+:meth:`GraphStore.encode_snapshot` writes each node and link row as the
+encoding its record kept from the previous checkpoint, and encodes only
+rows without one.  The oracle is ``encode_value(store.to_snapshot())``,
+which encodes every row afresh: after every checkpoint of a seeded
+random history — nodes and links added and deleted (deletes cascade),
+check-ins with moving attachments, node and link attributes, demons,
+protections, aborted transactions — the heap record must equal it byte
+for byte.  The same holds on the two other paths that change records:
+recovery replaying the log into a plain store in place, and a replica
+applying the shipped stream through write-sets.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.demons import EventKind
+from repro.core.graph import GraphDirectory
+from repro.core.ham import _APPLY, HAM
+from repro.core.types import LinkPt, Protections
+from repro.errors import NeptuneError
+from repro.replication.replica import Replica
+from repro.storage.serializer import encode_value
+from repro.tools.verify import fingerprint
+from repro.txn.recovery import replay_log
+
+SEEDS = [0, 1, 2, 3, 4, 5]
+
+_EVENTS = [EventKind.ADD_NODE, EventKind.DELETE_NODE, EventKind.ADD_LINK]
+
+
+def _one_op(ham, rng, txn=None) -> None:
+    """One random mutation; refused ones (protections, stale versions)
+    are part of the history too."""
+    store = ham.store
+    live = [index for index, node in store.nodes.items()
+            if node.alive_at(0)]
+    links = [index for index, link in store.links.items()
+             if link.alive_at(0)]
+    roll = rng.random()
+    if roll < 0.12 or len(live) < 2:
+        ham.add_node(txn, keep_history=rng.random() < 0.7)
+    elif roll < 0.40:
+        node = rng.choice(live)
+        record = store.node(node)
+        contents = b"".join(b"line %d %d\n" % (node, rng.randrange(50))
+                            for __ in range(rng.randrange(1, 12)))
+        attachments = None
+        if rng.random() < 0.5:  # move every tracking endpoint
+            attachments = [
+                (link, end.value, rng.randrange(len(contents)))
+                for link, end in ham._tracking_endpoints(store, record)]
+        ham.modify_node(txn, node=node,
+                        expected_time=record.current_time,
+                        contents=contents, attachments=attachments,
+                        explanation=f"edit {rng.randrange(99)}")
+    elif roll < 0.55:
+        source, target = rng.choice(live), rng.choice(live)
+        if rng.random() < 0.6:
+            from_pt = LinkPt(source, position=rng.randrange(4))
+        else:  # pinned to the source's current version
+            from_pt = LinkPt(source, position=rng.randrange(4),
+                             time=store.node(source).current_time,
+                             track_current=False)
+        ham.add_link(txn, from_pt=from_pt, to_pt=LinkPt(target))
+    elif roll < 0.67:
+        attr = ham.get_attribute_index(rng.choice(["status", "owner"]),
+                                       txn)
+        node = rng.choice(live)
+        if rng.random() < 0.2:
+            ham.delete_node_attribute(txn, node=node, attribute=attr)
+        else:
+            ham.set_node_attribute_value(txn, node=node, attribute=attr,
+                                         value=f"v{rng.randrange(5)}")
+    elif roll < 0.75 and links:
+        attr = ham.get_attribute_index("weight", txn)
+        link = rng.choice(links)
+        if rng.random() < 0.2:
+            ham.delete_link_attribute(txn, link=link, attribute=attr)
+        else:
+            ham.set_link_attribute_value(txn, link=link, attribute=attr,
+                                         value=str(rng.randrange(9)))
+    elif roll < 0.80 and links:
+        ham.delete_link(txn, link=rng.choice(links))
+    elif roll < 0.85:
+        ham.delete_node(txn, node=rng.choice(live))
+    elif roll < 0.90:
+        ham.change_node_protection(
+            txn, node=rng.choice(live),
+            protections=rng.choice([Protections.READ_WRITE,
+                                    Protections.READ_WRITE,
+                                    Protections.READ]))
+    elif roll < 0.95:
+        ham.set_node_demon(txn, node=rng.choice(live),
+                           event=rng.choice(_EVENTS),
+                           demon=rng.choice([None, "log", "notify"]))
+    else:
+        ham.set_graph_demon_value(txn, event=rng.choice(_EVENTS),
+                                  demon=rng.choice([None, "audit"]))
+
+
+def _history(ham, rng, steps: int) -> None:
+    for __ in range(steps):
+        if rng.random() < 0.08:
+            # A transaction that stages several changes, then aborts.
+            txn = ham.begin()
+            try:
+                for __ in range(rng.randrange(1, 4)):
+                    _one_op(ham, rng, txn)
+            except NeptuneError:
+                pass
+            txn.abort()
+            continue
+        try:
+            _one_op(ham, rng)
+        except NeptuneError:
+            pass
+
+
+def _heap_payload(graph_dir: GraphDirectory) -> bytes:
+    with graph_dir._open_heap() as heap:
+        return heap.read(graph_dir.read_meta()["snapshot"])
+
+
+def _checkpoint_is_exact(ham) -> None:
+    ham.checkpoint()
+    assert _heap_payload(ham._directory) == encode_value(
+        ham.store.to_snapshot())
+
+
+def _kept_rows(store) -> int:
+    return sum(record._encoded is not None
+               for table in (store.nodes, store.links)
+               for record in table.values())
+
+
+def _committed_state(store) -> dict:
+    """The snapshot less the clock: times that aborted transactions
+    drew are not logged, so recovery may restart the clock lower."""
+    snapshot = store.to_snapshot()
+    del snapshot["now"]
+    return snapshot
+
+
+def _open(tmp_path, name="graph"):
+    path = tmp_path / name
+    project_id, __ = HAM.create_graph(path)
+    return project_id, path, HAM.open_graph(project_id, path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_checkpoint_equals_the_oracle(tmp_path, seed):
+    rng = random.Random(seed)
+    __, __, ham = _open(tmp_path)
+    reused = 0
+    with ham:
+        for __ in range(8):
+            _history(ham, rng, rng.randrange(5, 40))
+            reused += _kept_rows(ham.store)
+            _checkpoint_is_exact(ham)
+        # Nothing changed: every row comes from its kept encoding.
+        _checkpoint_is_exact(ham)
+        assert _kept_rows(ham.store) == len(ham.store.nodes) + len(
+            ham.store.links)
+    assert reused > 0, "no checkpoint reused a kept row"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_recovery_after_kept_rows_is_exact(tmp_path, seed):
+    rng = random.Random(1000 + seed)
+    project_id, path, ham = _open(tmp_path)
+    for __ in range(3):
+        _history(ham, rng, 25)
+        _checkpoint_is_exact(ham)
+    _history(ham, rng, 40)
+    expected = _committed_state(ham.store)
+    ham._log.close()  # crash: no closing checkpoint
+    ham._closed = True
+    with HAM.open_graph(project_id, path) as recovered:
+        assert _committed_state(recovered.store) == expected
+        _checkpoint_is_exact(recovered)
+        _history(recovered, rng, 25)
+        _checkpoint_is_exact(recovered)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replay_into_a_plain_store_drops_stale_rows(tmp_path, seed):
+    # Recovery replays committed updates into a plain store, mutating
+    # its records in place through node_for_write/link_for_write.  Keep
+    # rows between batches of the replay, as repeated checkpoints of a
+    # recovered graph would, and each encoding must still be exact.
+    rng = random.Random(2000 + seed)
+    __, path, ham = _open(tmp_path)
+    graph_dir = GraphDirectory(path)
+    first = graph_dir.read_meta()["snapshot"]
+    with ham:
+        _history(ham, rng, 120)
+        live = _committed_state(ham.store)
+        updates = replay_log(ham._log).updates
+    store = graph_dir.load_snapshot(first)
+    assert updates, "the history committed nothing"
+    for step, (__, operation, args) in enumerate(updates):
+        _APPLY[operation](store, args)
+        if step % 7 == 0:
+            assert b"".join(store.encode_snapshot(keep_rows=True)) \
+                == encode_value(store.to_snapshot())
+    assert _committed_state(store) == live
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_replica_rows_stay_exact(tmp_path, seed):
+    rng = random.Random(3000 + seed)
+    __, __, primary = _open(tmp_path, "primary")
+    with primary:
+        _history(primary, rng, 30)
+        replica = Replica(primary, tmp_path / "replica", start=False,
+                          poll_wait=0.0)
+        with replica:
+            # The bootstrap snapshot is the store it was built from.
+            assert _heap_payload(replica.ham._directory) == encode_value(
+                replica.ham.store.to_snapshot())
+            for round_ in range(4):
+                _history(primary, rng, 30)
+                if round_ == 2:
+                    primary.checkpoint()  # the replica must resync
+                target = (primary._log.epoch, primary._log.durable_end())
+                while (replica._epoch,
+                       replica.replayed_lsn) != target:
+                    replica._step()
+                    assert replica.failure is None
+                store = replica.ham.store
+                assert b"".join(store.encode_snapshot(keep_rows=True)) \
+                    == encode_value(store.to_snapshot())
+                assert fingerprint(replica.ham) == fingerprint(primary)

@@ -7,9 +7,11 @@ import time
 import pytest
 
 from repro.core.ham import HAM
-from repro.errors import NotPrimaryError, StorageError
+from repro.errors import FaultError, NotPrimaryError, StorageError
 from repro.query.predicate import CompareOp
 from repro.replication.replica import Replica
+from repro.storage.serializer import RECORD_HEADER
+from repro.testing import faults
 from repro.tools.verify import compare_graphs, fingerprint, verify_graph
 
 
@@ -178,6 +180,102 @@ class TestReplay:
             Replica(ham, tmp_path / "replica")
 
 
+class _FlakySnapshotSource:
+    """The primary, except that ``repl_snapshot`` fails once when armed,
+    as a dying primary's closed log makes it fail."""
+
+    def __init__(self, primary):
+        self._primary = primary
+        self.armed = False
+        self.raised = 0
+
+    def repl_snapshot(self, have=None):
+        if self.armed:
+            self.armed = False
+            self.raised += 1
+            raise StorageError("wal.log: log is closed")
+        return self._primary.repl_snapshot(have=have)
+
+    def repl_subscribe(self, **kwargs):
+        return self._primary.repl_subscribe(**kwargs)
+
+
+class TestApplyThreadSupervision:
+    def test_failed_resync_is_retried_until_it_converges(self, primary,
+                                                         tmp_path):
+        _seed_writes(primary, count=3)
+        source = _FlakySnapshotSource(primary)
+        with Replica(source, tmp_path / "replica", poll_wait=0.1,
+                     retry_interval=0.05) as rep:
+            _await(rep, primary._log.durable_end())
+            # The checkpoint bumps the epoch, so the replica's next fetch
+            # answers ``resync`` and its snapshot call fails once.
+            source.armed = True
+            primary.checkpoint()
+            node, t = primary.add_node()
+            primary.modify_node(node=node, expected_time=t,
+                                contents=b"after the failed resync")
+            deadline = time.monotonic() + 10.0
+            while (rep._epoch != primary._log.epoch
+                   or rep.replayed_lsn < primary._log.durable_end()):
+                assert time.monotonic() < deadline, (
+                    f"replica never recovered from the failed resync: "
+                    f"failure {rep.failure!r}, status {rep.status()}")
+                time.sleep(0.02)
+            assert source.raised == 1
+            assert fingerprint(rep.ham) == fingerprint(primary)
+            status = rep.status()
+            assert status["streaming"]
+            assert status["failure"] is None
+            assert rep.failure is None
+
+    def test_failed_apply_resyncs_and_converges(self, primary, tmp_path):
+        # A commit group that fails to publish leaves the chunk half
+        # applied: the retry must rebuild from a snapshot, not re-feed
+        # the rest of the chunk on top.
+        rep = Replica(primary, tmp_path / "replica", start=False,
+                      poll_wait=0.0, retry_interval=0.0)
+        try:
+            _seed_writes(primary, count=4)
+            plan = faults.FaultPlan(
+                (faults.FaultSpec("repl.apply", "raise", hit=3),))
+            with faults.injected(plan) as injector:
+                rep._step()
+                assert injector.fired
+                assert isinstance(rep.failure, FaultError)
+                target = primary._log.durable_end()
+                for __ in range(20):
+                    if rep.replayed_lsn >= target:
+                        break
+                    rep._step()
+            assert rep.failure is None
+            assert fingerprint(rep.ham) == fingerprint(primary)
+            # The replica's log holds each shipped byte once, so it can
+            # re-ship the primary's exact stream after a promotion.
+            assert rep.ham._log.durable_end() == target
+        finally:
+            rep.close()
+
+    def test_status_reports_the_error_being_retried(self, primary,
+                                                    tmp_path):
+        class Down:
+            def repl_subscribe(self, **kwargs):
+                raise ConnectionRefusedError("primary is down")
+
+        rep = Replica(primary, tmp_path / "replica", start=False,
+                      retry_interval=0.01)
+        try:
+            rep.retarget(Down())
+            rep._step()
+            status = rep.status()
+            assert "primary is down" in status["failure"]
+            rep.retarget(primary)
+            rep._step()
+            assert rep.status()["failure"] is None
+        finally:
+            rep.close()
+
+
 class TestPromotion:
     def test_promoted_replica_accepts_writes(self, primary, tmp_path):
         nodes, attr = _seed_writes(primary, count=3)
@@ -245,6 +343,47 @@ class TestPromotion:
             assert rep.ham.repl_snapshot()["lsn"] >= start
         finally:
             rep.close()
+
+    def test_retarget_drops_a_frame_the_new_primary_never_had(
+            self, primary, tmp_path):
+        # The survivor holds the first bytes of a commit frame that the
+        # promoted replica never received, so the new primary's log
+        # carries other frames from that boundary on.  Completing the
+        # old frame with them would assemble a bogus length and stall
+        # the survivor for good (the failover matrix's primary-kill
+        # cell did, intermittently).
+        node, t = primary.add_node()
+        a = Replica(primary, tmp_path / "a", name="a", start=False,
+                    poll_wait=0.0)
+        b = Replica(primary, tmp_path / "b", name="b", start=False,
+                    poll_wait=0.0)
+        try:
+            caught_up = primary._log.durable_end()
+            for rep in (a, b):
+                while rep.replayed_lsn < caught_up:
+                    rep._step()
+            # The dying primary's last frame reached only b, torn after
+            # its header.
+            with b._apply_lock:
+                b._ingest(RECORD_HEADER.pack(20_000, 0) + b"torn")
+            assert b._buffer and b.replayed_lsn == caught_up
+            primary._log.close()  # the primary dies
+            primary._closed = True
+            a.promote()
+            b.retarget(a.ham)
+            a.ham.modify_node(node=node,
+                              expected_time=a.ham.get_node_timestamp(node),
+                              contents=b"after the failover")
+            for __ in range(10):
+                if b.replayed_lsn >= a.ham._log.durable_end():
+                    break
+                b._step()
+            assert b.replayed_lsn == a.ham._log.durable_end()
+            assert b.failure is None
+            assert fingerprint(b.ham) == fingerprint(a.ham)
+        finally:
+            b.close()
+            a.close()
 
     def test_transaction_ids_resume_above_stream(self, primary, tmp_path):
         _seed_writes(primary, count=3)

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import StorageError
 from repro.storage.heap import RecordHeap
 from repro.storage.pager import PAGE_SIZE
+from repro.storage.serializer import pack_record
+from repro.testing import faults
 
 
 @pytest.fixture
@@ -40,6 +42,72 @@ class TestAppendRead:
         heap.append(b"x")
         with pytest.raises(StorageError):
             heap.read(0)
+
+
+class TestParts:
+    """A record appended as parts frames and reads as the joined payload."""
+
+    PARTS = (b"", b"a" * 10, bytes(range(256)) * 70, b"b" * 3000, b"c")
+
+    def test_parts_read_back_joined(self, heap):
+        record_id = heap.append(*self.PARTS)
+        assert heap.read(record_id) == b"".join(self.PARTS)
+
+    def test_parts_write_the_bytes_one_payload_writes(self, tmp_path):
+        files = []
+        for name, parts in (("parts", self.PARTS),
+                            ("joined", (b"".join(self.PARTS),))):
+            path = tmp_path / f"{name}.heap"
+            with RecordHeap(path, align_records=True) as heap:
+                heap.append(b"x" * 100)
+                record_id = heap.append(*parts)
+                heap.append(b"after")
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+        framed = pack_record(b"".join(self.PARTS))
+        assert files[0][record_id:record_id + len(framed)] == framed
+
+
+class TestHeapWriteFaultOverParts:
+    """Torn and bit-flipped snapshot appends land anywhere in the framed
+    record, not only in its first part."""
+
+    PARTS = [bytes([n]) * 100 for n in range(1, 5)]
+    FRAMED = pack_record(b"".join(PARTS))
+
+    def _corrupted(self, tmp_path, action, seed):
+        path = tmp_path / f"{action}-{seed}.heap"
+        with RecordHeap(path, align_records=True) as heap:
+            heap.append(b"committed")
+            heap.sync()
+        heap = RecordHeap(path, align_records=True)
+        with faults.injected(faults.FaultPlan(
+                (faults.FaultSpec("heap.write", action),), seed=seed)):
+            with pytest.raises(faults.SimulatedCrash):
+                heap.append(*self.PARTS)
+        return path.read_bytes()[2 * PAGE_SIZE:]
+
+    def test_truncate_keeps_a_prefix_ending_in_any_part(self, tmp_path):
+        ends = set()
+        for seed in range(48):
+            written = self._corrupted(tmp_path, "truncate", seed)
+            assert len(written) < len(self.FRAMED)
+            assert written == self.FRAMED[:len(written)]
+            ends.add(max(0, len(written) - 8) // 100)
+        assert ends == {0, 1, 2, 3}
+
+    def test_bitflip_lands_in_any_part(self, tmp_path):
+        hits = set()
+        for seed in range(48):
+            written = self._corrupted(tmp_path, "bitflip", seed)
+            assert len(written) == len(self.FRAMED)
+            flipped = [at for at, (a, b)
+                       in enumerate(zip(written, self.FRAMED)) if a != b]
+            assert len(flipped) == 1
+            assert bin(written[flipped[0]]
+                       ^ self.FRAMED[flipped[0]]).count("1") == 1
+            hits.add(max(0, flipped[0] - 8) // 100)
+        assert hits == {0, 1, 2, 3}
 
 
 class TestScan:
