@@ -188,16 +188,6 @@ class VersionedAttributes:
                 f"attribute update at time {time} does not advance past "
                 f"{timeline.latest_time}") from None
 
-    def rollback(self, index: AttributeIndex) -> None:
-        """Drop the latest timeline entry for ``index`` (abort primitive)."""
-        timeline = self._timelines.get(index)
-        if not timeline:
-            raise AttributeNotFoundError(
-                f"attribute index {index} has no timeline to roll back")
-        timeline.pop()
-        if not timeline:
-            del self._timelines[index]
-
     # ------------------------------------------------------------------
     # reading
 

@@ -15,7 +15,11 @@ holding:
   a natural fit for a versioning system).  A checkpoint streams the
   snapshot in as parts: each node and link row is its record's own
   encoding, which the live graph's records keep between checkpoints, so
-  only the rows commits replaced are encoded again;
+  only the rows commits replaced are encoded again.  Inside a row, a
+  delta chain's history is one encoded list (see
+  :meth:`repro.storage.deltas.DeltaStore.to_record`): loading a snapshot
+  keeps it encoded until an as-of read needs it, and re-encoding a
+  loaded chain copies it and encodes only the check-ins made since;
 - ``wal.log`` — the write-ahead log of updates since the last snapshot.
 """
 
@@ -246,7 +250,12 @@ class GraphStore:
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "GraphStore":
-        """Rebuild a store from :meth:`to_snapshot` output."""
+        """Rebuild a store from :meth:`to_snapshot` output.
+
+        Node version histories stay packed as decoded from the snapshot
+        (one ``bytes`` value per chain); a chain decodes its deltas on
+        the first read of a version inside them.
+        """
         store = cls(snapshot["project"], snapshot["created"])
         store.clock.advance_to(snapshot["now"])
         store.next_node_index = snapshot["next_node"]

@@ -132,15 +132,6 @@ class LinkRecord:
                 f"attachment cannot move")
         self._offsets[end].append(time, position)
 
-    def rollback_attachment(self, end: LinkEnd) -> None:
-        """Drop the latest attachment offset for ``end`` (abort primitive)."""
-        timeline = self._offsets.get(end)
-        if timeline is None or len(timeline) < 2:
-            raise VersionError(
-                f"link {self.index} {end.value} attachment has no update "
-                f"to roll back")
-        timeline.pop()
-
     def ends_attached_to(self, node_index: int) -> list[LinkEnd]:
         """Which of this link's endpoints attach to ``node_index``."""
         return [

@@ -78,8 +78,12 @@ __all__ = [
 #: (``subscribe``/``unsubscribe``/``subscription_status``) and with them
 #: *unsolicited push frames*: a server may now interleave id-less
 #: ``{"push": ...}`` messages between responses on any session that
-#: subscribed (clients that never subscribe never see one).
-PROTOCOL_VERSION = 7
+#: subscribed (clients that never subscribe never see one).  Version 8
+#: changed the delta-chain record inside ``replSnapshot`` replies: a
+#: chain's ``deltas`` field is one encoded list (``bytes``), not a list of
+#: scripts, so a replica built for version 7 is refused at the handshake
+#: rather than failing to load the snapshot.
+PROTOCOL_VERSION = 8
 
 
 class _Required:

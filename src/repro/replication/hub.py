@@ -85,10 +85,12 @@ class ReplicationHub:
                 break
             with self._cond:
                 self._cond.wait(min(remaining, 0.05))
-        durable = log.durable_end()
         if epoch != log.epoch:
             return self._resync()
-        data = log.read_durable(from_lsn, max_bytes=max_bytes)
+        # The bytes and the durable end come from one log lock hold: a
+        # subscriber may then judge any frame that would end past
+        # ``durable_lsn`` to be corrupt rather than wait for it.
+        data, durable = log.read_durable(from_lsn, max_bytes=max_bytes)
         if faults.INJECTOR is not None:
             # ``repl.ship``: damage (or crash) the primary-side shipper
             # just before the bytes leave.  A ``buffer=`` context lets

@@ -63,11 +63,6 @@ from repro.txn.writeset import WriteSet
 
 __all__ = ["Replica"]
 
-#: A frame longer than this cannot be legitimate (commit blobs are far
-#: smaller); a bit flip in a length prefix would otherwise stall the
-#: stream waiting for bytes that never come.
-_MAX_FRAME = 1 << 26
-
 
 class Replica:
     """A live, read-only copy of a primary graph, fed by its WAL stream."""
@@ -314,12 +309,17 @@ class Replica:
             data = reply.get("data") or b""
             if data:
                 self._resync_due = True  # until the whole chunk applied
-                self._ingest(data)
+                self._ingest(data, self._source_durable)
                 self._resync_due = False
             lag = max(0, self._source_durable - self.replayed_lsn)
             REPLICATION.record("lag_bytes", lag)
 
-    def _ingest(self, data: bytes) -> None:
+    def _ingest(self, data: bytes, durable_lsn: int) -> None:
+        """Log, fsync and apply one fetched chunk.
+
+        ``durable_lsn`` is the source's durable end as of the chunk (the
+        fetch reply's): every genuine frame ends at or below it.
+        """
         chunk = bytearray(data)
         if faults.INJECTOR is not None:
             faults.fire("repl.fetch", buffer=chunk)
@@ -330,27 +330,34 @@ class Replica:
         self.ham._log.force()
         self._buffer.extend(chunk)
         try:
-            self._drain_frames()
+            self._drain_frames(durable_lsn)
         except (StorageError, RecoveryError):
-            # Checksum or decode failure inside a *complete* frame: the
+            # Checksum or decode failure inside a *complete* frame, or a
+            # frame claiming bytes the source never made durable: the
             # stream is damaged beyond the torn-tail tolerance.  Start
             # over from a fresh snapshot.
             self._resync()
 
-    def _drain_frames(self) -> None:
+    def _drain_frames(self, durable_lsn: int) -> None:
         buf = self._buffer
         size = len(buf)
         offset = 0
         header = RECORD_HEADER.size
         while offset + header <= size:
             length, _crc = RECORD_HEADER.unpack_from(buf, offset)
-            if length > _MAX_FRAME:
-                raise StorageError(
-                    f"replication frame claims {length} bytes "
-                    f"(corrupt length prefix)")
             end = offset + header + length
             if end > size:
-                break  # incomplete frame: the next fetch completes it
+                # Incomplete: the next fetch completes it, unless the
+                # frame claims to end past what the source has made
+                # durable — then its length prefix is damaged, and
+                # waiting would stall the stream for good.
+                if self._parse_lsn + end > durable_lsn:
+                    raise StorageError(
+                        f"replication frame at lsn "
+                        f"{self._parse_lsn + offset} claims {length} "
+                        f"bytes, past the source's durable end "
+                        f"{durable_lsn} (corrupt length prefix)")
+                break
             payload, _next = unpack_record(bytes(buf[offset:end]), 0)
             record = LogRecord.decode(payload,
                                       lsn=self._parse_lsn + offset)

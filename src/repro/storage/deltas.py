@@ -17,7 +17,12 @@ difference script against its successor, so:
   stores only the changed tokens;
 - replaying a journaled check-in costs no diff at all: the redo log
   carries the forward script, and :meth:`DeltaStore.check_in_script`
-  applies it to the current version under a base- and result-hash check.
+  applies it to the current version under a base- and result-hash check;
+- loading a chain from a snapshot decodes none of its history: the
+  record carries the deltas as one encoded list, which the chain keeps
+  packed until a read walks into it, and re-encoding that chain at the
+  next checkpoint copies those bytes and encodes only the deltas checked
+  in since.
 
 Two layers ride on top of the chains (see :mod:`repro.storage.cas` and
 :mod:`repro.storage.blockcache`):
@@ -55,6 +60,7 @@ from repro.storage.diff import (
     diff_bytes,
     invert_differences,
 )
+from repro.storage.serializer import decode_value, encode_value, list_header
 
 __all__ = ["DeltaStore", "FullCopyStore", "KeyframeDeltaStore",
            "DeltaChainStats", "encode_script", "decode_script",
@@ -70,6 +76,9 @@ _CHAIN_IDS = itertools.count(1)
 #: Sentinel: "resolve the process-wide default cache at read time" —
 #: distinct from None (memoization disabled).
 _PROCESS_CACHE = object()
+
+#: Bytes of the header an encoded list starts with (tag, item count).
+_LIST_HEADER = len(list_header(0))
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,43 @@ def script_bytes(script: list[Difference]) -> int:
         + sum(len(token) for token in diff.new)
         for diff in script
     )
+
+
+class _PackedDeltas:
+    """A chain's loaded backward deltas, kept encoded until a read needs one.
+
+    ``data`` is exactly ``encode_value([encoded script, ...])`` for the
+    oldest ``count`` deltas — the ``"deltas"`` field of the record the
+    chain was loaded from.  The first read into them decodes the whole
+    list once and keeps the result.  Both are immutable afterwards, so a
+    chain and its clones share one instance.
+    """
+
+    __slots__ = ("data", "count", "_scripts")
+
+    def __init__(self, data: bytes, count: int):
+        self.data = data
+        self.count = count
+        self._scripts: list[list[Difference]] | None = None
+
+    def scripts(self) -> list[list[Difference]]:
+        """The decoded deltas, oldest first.
+
+        The bytes reach here from disk or the wire, past the record
+        checksums, so scripts that do not decode raise
+        :class:`StorageError`.  (The list header, and so ``count``, was
+        checked when the chain was loaded.)
+        """
+        scripts = self._scripts
+        if scripts is None:
+            try:
+                scripts = [_decode_script(script)
+                           for script in decode_value(self.data)]
+            except (ValueError, TypeError, RecursionError) as exc:
+                raise StorageError(
+                    f"packed deltas do not decode: {exc}") from None
+            self._scripts = scripts  # a racing decode stores an equal list
+        return scripts
 
 
 class _CachedChain:
@@ -185,6 +231,13 @@ class DeltaStore(_CachedChain):
     logical clock).  ``get(0)`` returns the current version; ``get(t)``
     returns the version in effect at time ``t`` (the latest version whose
     check-in time is <= ``t``).
+
+    The deltas live in two runs.  A chain loaded from a record keeps the
+    record's deltas as a packed prefix (:class:`_PackedDeltas`), decoded
+    the first time a read needs a version inside it; every check-in
+    since — replayed from the log, applied by a replica, or committed
+    live — appends its decoded delta to the tail.  A chain built by
+    check-ins alone has no prefix.
     """
 
     def __init__(self, initial: bytes, time: int, catalog=None):
@@ -200,9 +253,13 @@ class DeltaStore(_CachedChain):
         #: _hashes[i] is the content hash of version i — the cache key
         #: component, and the catalog key while version i is current.
         self._hashes: list[bytes] = [digest]
-        # _deltas[i] transforms version i+1 back into version i
-        # (both indices into _times); len(_deltas) == len(_times) - 1.
-        self._deltas: list[list[Difference]] = []
+        #: The oldest deltas, still encoded as loaded; None when the
+        #: chain was not loaded from a record (or its record had none).
+        self._packed: _PackedDeltas | None = None
+        # Delta i transforms version i+1 back into version i (both
+        # indices into _times).  _tail[j] is delta (packed count) + j;
+        # the two runs together hold len(_times) - 1 deltas.
+        self._tail: list[list[Difference]] = []
         self._chain_id = next(_CHAIN_IDS)
         self._cache = _PROCESS_CACHE
 
@@ -265,7 +322,7 @@ class DeltaStore(_CachedChain):
         previous_digest = self._hashes[-1]
         if self._catalog is not None:
             contents, digest = self._catalog.intern(contents, digest)
-        self._deltas.append(invert_differences(forward))
+        self._tail.append(invert_differences(forward))
         self._times.append(time)
         self._hashes.append(digest)
         self._current = contents
@@ -314,37 +371,46 @@ class DeltaStore(_CachedChain):
             raise VersionError(f"no version was checked in at time {time}")
         return self._read(index)
 
-    def _walk(self, index: int) -> bytes:
-        """Version ``index``: the backward deltas from the current one."""
-        return apply_scripts_bytes(self._current,
-                                   reversed(self._deltas[index:]))
+    def deltas(self) -> list[list[Difference]]:
+        """Every stored backward delta, oldest first.
 
-    def rollback_last(self) -> None:
-        """Drop the current version, restoring its predecessor.
-
-        Transaction-abort primitive: O(one delta application), unlike a
-        full-chain snapshot/restore.  Refuses to drop the initial
-        version.  Only catalog refs move — cached materializations are
-        keyed by content hash, so nothing needs invalidating even if a
-        later check-in reuses this chain position.
+        Delta ``i`` turns version ``i + 1`` back into version ``i``.
+        Decodes a packed prefix (once; see :class:`_PackedDeltas`).
         """
-        if not self._deltas:
-            raise VersionError("cannot roll back the initial version")
-        script = self._deltas.pop()
-        popped_digest = self._hashes.pop()
-        self._times.pop()
-        restored = apply_differences_bytes(self._current, script)
-        if self._catalog is not None:
-            self._catalog.release(popped_digest)
-            restored, __ = self._catalog.intern(restored, self._hashes[-1])
-        self._current = restored
+        if self._packed is None:
+            return list(self._tail)
+        return self._packed.scripts() + self._tail
+
+    def _walk(self, index: int) -> bytes:
+        """Version ``index``: the backward deltas from the current one.
+
+        A version at or past the packed prefix needs only the tail.  An
+        older one decodes the prefix; since its bytes came from disk or
+        the wire, a delta there that fails to apply raises
+        :class:`StorageError` (a wrong result that applies is caught by
+        the hash check in :meth:`_materialize`).
+        """
+        packed = self._packed
+        start = 0 if packed is None else packed.count
+        if index >= start:
+            return apply_scripts_bytes(self._current,
+                                       reversed(self._tail[index - start:]))
+        scripts = itertools.chain(reversed(self._tail),
+                                  reversed(packed.scripts()[index:]))
+        try:
+            return apply_scripts_bytes(self._current, scripts)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise StorageError(
+                f"version {index} (time {self._times[index]}) does not "
+                f"rebuild from its stored deltas: {exc}") from None
 
     def clone(self) -> "DeltaStore":
         """Independent copy sharing the version payloads.
 
-        ``_current`` is immutable ``bytes`` and the stored delta scripts
-        are never mutated after check-in, so only the list spines need
-        copying — the clone and the original can then diverge freely
+        ``_current`` is immutable ``bytes``, the packed prefix is
+        immutable once decoded, and the stored delta scripts are never
+        mutated after check-in, so only the list spines need copying —
+        the clone and the original can then diverge freely
         (copy-on-write transaction overlays rely on this).  Catalog refs
         are *shared*, owned by the logical chain lineage: the write-set
         machinery rebinds the clone to its transaction's catalog journal,
@@ -354,7 +420,8 @@ class DeltaStore(_CachedChain):
         copy._current = self._current
         copy._times = list(self._times)
         copy._hashes = list(self._hashes)
-        copy._deltas = list(self._deltas)
+        copy._packed = self._packed
+        copy._tail = list(self._tail)
         copy._catalog = self._catalog
         copy._chain_id = self._chain_id
         copy._cache = self._cache
@@ -389,29 +456,64 @@ class DeltaStore(_CachedChain):
         return DeltaChainStats(
             version_count=len(self._times),
             current_bytes=len(self._current),
-            delta_bytes=sum(script_bytes(s) for s in self._deltas),
+            delta_bytes=sum(script_bytes(s) for s in self.deltas()),
         )
 
     def to_record(self) -> dict:
-        """Encodable snapshot of the whole chain (for the record heap)."""
+        """Encodable snapshot of the whole chain (for the record heap).
+
+        ``"deltas"`` is one ``bytes`` value: exactly
+        ``encode_value([encoded script, ...])`` of every delta, oldest
+        first, so a snapshot decoder reads it as one slice.  A packed
+        prefix is spliced in as it was loaded — a new list header, its
+        items, then the encoded tail — so re-encoding a loaded chain
+        costs a copy plus the deltas checked in since.
+        """
+        tail = encode_value([_encode_script(s) for s in self._tail])
+        packed = self._packed
+        if packed is None:
+            deltas = tail
+        elif not self._tail:
+            deltas = packed.data
+        else:
+            deltas = b"".join([
+                list_header(packed.count + len(self._tail)),
+                memoryview(packed.data)[_LIST_HEADER:],
+                memoryview(tail)[_LIST_HEADER:]])
         return {
             "current": self._current,
             "times": list(self._times),
             "hashes": list(self._hashes),
-            "deltas": [_encode_script(s) for s in self._deltas],
+            "deltas": deltas,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "DeltaStore":
         """Rebuild a chain from :meth:`to_record` output.
 
-        Records written before content addressing carry no ``hashes``;
-        they are recomputed once here (one backward walk of the chain).
+        The deltas stay packed (see :class:`_PackedDeltas`); only their
+        list header is checked here, against the version count.  A
+        record written before the packed form carries ``"deltas"`` as a
+        list of encoded scripts, decoded here into the tail.  Records
+        written before content addressing carry no ``hashes``; they are
+        recomputed once here (one backward walk of the chain).
         """
         store = cls.__new__(cls)
         store._current = record["current"]
         store._times = list(record["times"])
-        store._deltas = [_decode_script(s) for s in record["deltas"]]
+        count = len(store._times) - 1
+        deltas = record["deltas"]
+        store._packed = None
+        if isinstance(deltas, list):
+            store._tail = [_decode_script(s) for s in deltas]
+        else:
+            if deltas[:_LIST_HEADER] != list_header(count):
+                raise StorageError(
+                    f"chain record's deltas do not open a list of "
+                    f"{count} scripts")
+            store._tail = []
+            if count:
+                store._packed = _PackedDeltas(deltas, count)
         store._catalog = None
         store._chain_id = next(_CHAIN_IDS)
         store._cache = _PROCESS_CACHE
@@ -426,9 +528,9 @@ class DeltaStore(_CachedChain):
         hashes: list[bytes] = [b""] * len(self._times)
         contents = self._current
         hashes[-1] = content_hash(contents)
-        for index in range(len(self._deltas) - 1, -1, -1):
-            contents = apply_differences_bytes(contents,
-                                               self._deltas[index])
+        deltas = self.deltas()
+        for index in range(len(deltas) - 1, -1, -1):
+            contents = apply_differences_bytes(contents, deltas[index])
             hashes[index] = content_hash(contents)
         return hashes
 
@@ -447,7 +549,7 @@ class KeyframeDeltaStore(_CachedChain):
     version of the last segment is also kept whole.
 
     Interface parity with :class:`DeltaStore` (``get_exact``,
-    ``rollback_last``, ``clone``, ``to_record``/``from_record``,
+    ``clone``, ``to_record``/``from_record``,
     catalog attachment, cache memoization) lets either chain type sit
     behind the blob catalog as a drop-in backend; keyframe payloads
     take one catalog ref each, on top of the current version's slot.
@@ -537,33 +639,10 @@ class KeyframeDeltaStore(_CachedChain):
 
     def _walk(self, index: int) -> bytes:
         """Version ``index``: the forward deltas from its keyframe."""
-        # Always the pure keyframe walk — no current-version shortcut:
-        # rollback_last materializes the new last version while
-        # ``_current`` still holds the payload being dropped.
         start = index - (index % self._interval)
         return apply_scripts_bytes(
             self._keyframes[start],
             (self._forward[step] for step in range(start + 1, index + 1)))
-
-    def rollback_last(self) -> None:
-        """Drop the current version, restoring its predecessor."""
-        if len(self._times) == 1:
-            raise VersionError("cannot roll back the initial version")
-        index = len(self._times) - 1
-        popped_digest = self._hashes.pop()
-        self._times.pop()
-        if index in self._keyframes:
-            del self._keyframes[index]
-            if self._catalog is not None:
-                self._catalog.release(popped_digest)  # the keyframe ref
-        else:
-            del self._forward[index]
-        if self._catalog is not None:
-            self._catalog.release(popped_digest)  # the current slot's ref
-        restored = self._materialize(len(self._times) - 1)
-        if self._catalog is not None:
-            restored, __ = self._catalog.intern(restored, self._hashes[-1])
-        self._current = restored
 
     def clone(self) -> "KeyframeDeltaStore":
         """Independent copy sharing payloads (see :meth:`DeltaStore.clone`)."""

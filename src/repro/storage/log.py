@@ -579,29 +579,32 @@ class WriteAheadLog:
             if self._forced > offset:
                 self._forced = offset
 
-    def read_durable(self, from_lsn: int, max_bytes: int = 1 << 20) -> bytes:
+    def read_durable(self, from_lsn: int,
+                     max_bytes: int = 1 << 20) -> tuple[bytes, int]:
         """Raw framed bytes from ``from_lsn`` up to the durable end.
 
-        The shipper's fetch primitive: returns at most ``max_bytes`` of
-        the fsync-covered region starting at global LSN ``from_lsn``
-        (empty when the cursor already sits at the durable end).  A
-        cursor outside the durable region — behind ``base_lsn`` or ahead
-        of the forced watermark — raises :class:`StorageError`; the
-        caller must resynchronize from a snapshot.
+        The shipper's fetch primitive: returns ``(data, durable_end)`` —
+        at most ``max_bytes`` of the fsync-covered region starting at
+        global LSN ``from_lsn`` (empty when the cursor already sits at
+        the durable end), and :meth:`durable_end` read under the same
+        lock, so ``from_lsn + len(data) <= durable_end`` always holds.
+        A cursor outside the durable region — behind ``base_lsn`` or
+        ahead of the forced watermark — raises :class:`StorageError`;
+        the caller must resynchronize from a snapshot.
         """
         with self._lock:
             if self._closed:
                 raise StorageError(f"{self._path}: log is closed")
             offset = from_lsn - self.base_lsn
+            durable = self.base_lsn + self._forced
             if offset < 0 or offset > self._forced:
                 raise StorageError(
                     f"{self._path}: lsn {from_lsn} is outside the durable "
-                    f"region [{self.base_lsn}, "
-                    f"{self.base_lsn + self._forced}]")
+                    f"region [{self.base_lsn}, {durable}]")
             length = min(self._forced - offset, max_bytes)
             if length <= 0:
-                return b""
-            return os.pread(self._fd, length, offset)
+                return b"", durable
+            return os.pread(self._fd, length, offset), durable
 
     # ------------------------------------------------------------------
     # recovery scan

@@ -153,17 +153,6 @@ class TestVersionedAttributes:
         table.delete(1, time=2)
         assert table.history(1) == [(1, "a"), (2, None)]
 
-    def test_rollback_pops_latest_entry(self):
-        table = VersionedAttributes()
-        table.set(1, "a", time=1)
-        table.set(1, "b", time=2)
-        table.rollback(1)
-        assert table.value_at(1, CURRENT) == "a"
-
-    def test_rollback_empty_raises(self):
-        with pytest.raises(AttributeNotFoundError):
-            VersionedAttributes().rollback(1)
-
     def test_record_round_trip(self):
         table = VersionedAttributes()
         table.set(1, "a", time=1)

@@ -64,17 +64,6 @@ class TestAttachmentHistory:
         with pytest.raises(VersionError):
             link.move_attachment(LinkEnd.FROM, 9, time=10)
 
-    def test_rollback_attachment(self):
-        link = make_link(from_pos=5, created_at=10)
-        link.move_attachment(LinkEnd.FROM, 8, time=20)
-        link.rollback_attachment(LinkEnd.FROM)
-        assert link.position_at(LinkEnd.FROM) == 5
-
-    def test_rollback_initial_attachment_raises(self):
-        link = make_link()
-        with pytest.raises(VersionError):
-            link.rollback_attachment(LinkEnd.FROM)
-
     def test_resolved_endpoint_carries_position(self):
         link = make_link(from_pos=5, created_at=10)
         link.move_attachment(LinkEnd.FROM, 8, time=20)

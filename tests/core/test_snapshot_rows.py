@@ -2,13 +2,15 @@
 
 :meth:`GraphStore.encode_snapshot` writes each node and link row as the
 encoding its record kept from the previous checkpoint, and encodes only
-rows without one.  The oracle is ``encode_value(store.to_snapshot())``,
-which encodes every row afresh: after every checkpoint of a seeded
-random history — nodes and links added and deleted (deletes cascade),
-check-ins with moving attachments, node and link attributes, demons,
-protections, aborted transactions — the heap record must equal it byte
-for byte.  The same holds on the two other paths that change records:
-recovery replaying the log into a plain store in place, and a replica
+rows without one.  The oracle is ``encode_value(store.to_snapshot())``
+with every delta chain's deltas encoded afresh from the decoded scripts
+(a chain loaded from a snapshot splices its packed deltas instead):
+after every checkpoint of a seeded random history — nodes and links
+added and deleted (deletes cascade), check-ins with moving attachments,
+node and link attributes, demons, protections, aborted transactions —
+the heap record must equal it byte for byte.  The same holds on the
+paths that change records: recovery replaying the log into a plain
+store in place, check-ins onto a recovered graph, and a replica
 applying the shipped stream through write-sets.
 """
 
@@ -24,6 +26,7 @@ from repro.core.ham import _APPLY, HAM
 from repro.core.types import LinkPt, Protections
 from repro.errors import NeptuneError
 from repro.replication.replica import Replica
+from repro.storage.deltas import DeltaStore, encode_script
 from repro.storage.serializer import encode_value
 from repro.tools.verify import fingerprint
 from repro.txn.recovery import replay_log
@@ -126,10 +129,27 @@ def _heap_payload(graph_dir: GraphDirectory) -> bytes:
         return heap.read(graph_dir.read_meta()["snapshot"])
 
 
+def _oracle(store) -> bytes:
+    """The snapshot encoded afresh, chain deltas included."""
+    snapshot = store.to_snapshot()
+    for row, node in zip(snapshot["nodes"], store.nodes.values()):
+        if isinstance(node._archive, DeltaStore):
+            row["archive"]["deltas"] = encode_value(
+                [encode_script(script) for script in node._archive.deltas()])
+    return encode_value(snapshot)
+
+
 def _checkpoint_is_exact(ham) -> None:
     ham.checkpoint()
-    assert _heap_payload(ham._directory) == encode_value(
-        ham.store.to_snapshot())
+    assert _heap_payload(ham._directory) == _oracle(ham.store)
+
+
+def _spliced_chains(store) -> int:
+    """Chains holding both a packed prefix and later check-ins."""
+    return sum(isinstance(node._archive, DeltaStore)
+               and node._archive._packed is not None
+               and bool(node._archive._tail)
+               for node in store.nodes.values())
 
 
 def _kept_rows(store) -> int:
@@ -188,6 +208,34 @@ def test_recovery_after_kept_rows_is_exact(tmp_path, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_check_ins_after_recovery_splice_exactly(tmp_path, seed):
+    # Reopened after a clean close, every chain's history is packed;
+    # check-ins then go to the tail, and the next checkpoint splices the
+    # two.  Alternate clean closes with crashes, so replayed check-ins
+    # land in the tail too.
+    rng = random.Random(4000 + seed)
+    project_id, path, ham = _open(tmp_path)
+    _history(ham, rng, 40)
+    ham.close()
+    spliced = 0
+    for round_ in range(4):
+        with HAM.open_graph(project_id, path) as recovered:
+            _history(recovered, rng, 30)
+            spliced += _spliced_chains(recovered.store)
+            _checkpoint_is_exact(recovered)
+            _history(recovered, rng, 10)
+            expected = _committed_state(recovered.store)
+            if round_ % 2:
+                recovered._log.close()  # crash: no closing checkpoint
+                recovered._closed = True
+        with HAM.open_graph(project_id, path) as reopened:
+            assert _committed_state(reopened.store) == expected
+            spliced += _spliced_chains(reopened.store)
+            _checkpoint_is_exact(reopened)
+    assert spliced > 0, "no checkpoint spliced a packed history"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_replay_into_a_plain_store_drops_stale_rows(tmp_path, seed):
     # Recovery replays committed updates into a plain store, mutating
     # its records in place through node_for_write/link_for_write.  Keep
@@ -207,7 +255,7 @@ def test_replay_into_a_plain_store_drops_stale_rows(tmp_path, seed):
         _APPLY[operation](store, args)
         if step % 7 == 0:
             assert b"".join(store.encode_snapshot(keep_rows=True)) \
-                == encode_value(store.to_snapshot())
+                == _oracle(store)
     assert _committed_state(store) == live
 
 
@@ -221,8 +269,8 @@ def test_replica_rows_stay_exact(tmp_path, seed):
                           poll_wait=0.0)
         with replica:
             # The bootstrap snapshot is the store it was built from.
-            assert _heap_payload(replica.ham._directory) == encode_value(
-                replica.ham.store.to_snapshot())
+            assert _heap_payload(replica.ham._directory) == _oracle(
+                replica.ham.store)
             for round_ in range(4):
                 _history(primary, rng, 30)
                 if round_ == 2:
@@ -234,5 +282,5 @@ def test_replica_rows_stay_exact(tmp_path, seed):
                     assert replica.failure is None
                 store = replica.ham.store
                 assert b"".join(store.encode_snapshot(keep_rows=True)) \
-                    == encode_value(store.to_snapshot())
+                    == _oracle(store)
                 assert fingerprint(replica.ham) == fingerprint(primary)

@@ -256,6 +256,43 @@ class TestApplyThreadSupervision:
         finally:
             rep.close()
 
+    def test_frame_ending_past_the_durable_end_resyncs(self, primary,
+                                                       tmp_path):
+        # A bit flipped in the first frame's length prefix leaves a
+        # plausible length, but one that ends past everything the
+        # primary made durable: no later fetch can complete the frame,
+        # so waiting for it would stall the replica with no failure.
+        rep = Replica(primary, tmp_path / "replica", start=False,
+                      poll_wait=0.0, retry_interval=0.0)
+        subscribe = primary.repl_subscribe
+        damaged = []
+
+        def flip_first_length(**kwargs):
+            reply = subscribe(**kwargs)
+            if reply["data"] and not damaged:
+                data = bytearray(reply["data"])
+                length, crc = RECORD_HEADER.unpack_from(data, 0)
+                RECORD_HEADER.pack_into(data, 0, length | 1 << 20, crc)
+                damaged.append(reply["durable_lsn"])
+                reply = dict(reply, data=bytes(data))
+            return reply
+
+        primary.repl_subscribe = flip_first_length
+        try:
+            _seed_writes(primary, count=4)
+            target = primary._log.durable_end()
+            for __ in range(10):
+                if rep.replayed_lsn >= target:
+                    break
+                rep._step()
+            assert damaged == [target]
+            assert rep.replayed_lsn == target, (
+                f"replica stalled at {rep.replayed_lsn} < {target}")
+            assert rep.failure is None
+            assert fingerprint(rep.ham) == fingerprint(primary)
+        finally:
+            rep.close()
+
     def test_status_reports_the_error_being_retried(self, primary,
                                                     tmp_path):
         class Down:
@@ -325,10 +362,11 @@ class TestPromotion:
         try:
             start = rep._stream_end
             _seed_writes(primary, count=3)
-            data = primary._log.read_durable(start)
+            data, durable = primary._log.read_durable(start)
             assert len(data) > 3
             with rep._apply_lock:
-                rep._ingest(data[:-3])  # last frame arrives incomplete
+                # The last frame arrives incomplete.
+                rep._ingest(data[:-3], durable)
             assert rep._buffer, "setup failed: no torn frame pending"
             rep.promote()
             assert rep.ham._log.end_lsn == rep._parse_lsn
@@ -363,9 +401,10 @@ class TestPromotion:
                 while rep.replayed_lsn < caught_up:
                     rep._step()
             # The dying primary's last frame reached only b, torn after
-            # its header.
+            # its header; the primary had made all of it durable.
             with b._apply_lock:
-                b._ingest(RECORD_HEADER.pack(20_000, 0) + b"torn")
+                b._ingest(RECORD_HEADER.pack(20_000, 0) + b"torn",
+                          caught_up + RECORD_HEADER.size + 20_000)
             assert b._buffer and b.replayed_lsn == caught_up
             primary._log.close()  # the primary dies
             primary._closed = True

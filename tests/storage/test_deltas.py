@@ -1,5 +1,7 @@
 """Tests for the backward-delta version store and its baseline."""
 
+import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -7,11 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import HAM
+from repro.core.graph import GraphDirectory
 from repro.errors import StorageError, VersionError
 from repro.storage.blockcache import BlockCache
 from repro.storage.cas import content_hash
-from repro.storage.deltas import DeltaStore, FullCopyStore, KeyframeDeltaStore
+from repro.storage.deltas import (
+    DeltaStore,
+    FullCopyStore,
+    KeyframeDeltaStore,
+    encode_script,
+)
 from repro.storage.diff import apply_differences_bytes
+from repro.storage.serializer import RECORD_HEADER, decode_value, encode_value
 from repro.workloads.trace import EditTrace, generate_versions
 
 
@@ -75,28 +84,6 @@ class TestDeltaStoreBasics:
         store = DeltaStore(blob, time=1)
         store.check_in(blob[:100] + b"\x00\x01" + blob[120:], time=2)
         assert store.get(1) == blob
-
-
-class TestRollback:
-    def test_rollback_last_restores_previous(self):
-        store = DeltaStore(b"v1\n", time=1)
-        store.check_in(b"v2\n", time=2)
-        store.rollback_last()
-        assert store.get() == b"v1\n"
-        assert store.current_time == 1
-
-    def test_rollback_initial_version_raises(self):
-        store = DeltaStore(b"v1\n", time=1)
-        with pytest.raises(VersionError):
-            store.rollback_last()
-
-    def test_rollback_then_check_in_again(self):
-        store = DeltaStore(b"v1\n", time=1)
-        store.check_in(b"v2\n", time=2)
-        store.rollback_last()
-        store.check_in(b"v2b\n", time=3)
-        assert store.get() == b"v2b\n"
-        assert store.get(1) == b"v1\n"
 
 
 class TestStorageEfficiency:
@@ -181,19 +168,6 @@ def test_property_every_version_reconstructs(history):
     assert store.get() == history[-1]
 
 
-@given(history=st.lists(
-    st.text(alphabet="ab\n", max_size=60).map(str.encode),
-    min_size=2, max_size=10))
-@settings(max_examples=100)
-def test_property_rollback_walks_history_backwards(history):
-    store = DeltaStore(history[0], time=1)
-    for position, contents in enumerate(history[1:], start=2):
-        store.check_in(contents, time=position)
-    for expected in reversed(history[:-1]):
-        store.rollback_last()
-        assert store.get() == expected
-
-
 @given(history=st.lists(st.binary(max_size=80), min_size=1, max_size=8))
 @settings(max_examples=50)
 def test_property_record_round_trip(history):
@@ -264,10 +238,12 @@ def build(kind, history):
 
 
 def scripts_of(chain):
-    """The stored deltas, by the index of the version each one rebuilds
-    (DeltaStore: from its successor; keyframed: from its predecessor)."""
+    """The stored deltas of a chain built by check-ins alone, by the
+    index of the version each one rebuilds (DeltaStore: from its
+    successor; keyframed: from its predecessor) — mutable, to tamper."""
     if isinstance(chain, DeltaStore):
-        return chain._deltas
+        assert chain._packed is None
+        return chain._tail
     return chain._forward
 
 
@@ -275,7 +251,7 @@ def fold(chain, index):
     """Version ``index`` by one ``apply_differences_bytes`` per delta."""
     if isinstance(chain, DeltaStore):
         contents = chain._current
-        for script in reversed(chain._deltas[index:]):
+        for script in reversed(chain.deltas()[index:]):
             contents = apply_differences_bytes(contents, script)
         return contents
     start = index - index % chain._interval
@@ -353,8 +329,153 @@ class TestCorruptDeltas:
             ham.modify_node(node=node, expected_time=before,
                             contents=b"a\nB\nc\n")
             chain = ham.store.node(node)._archive
-            # _deltas[1] rebuilds ``a b c`` from the current version.
+            # Delta 1 rebuilds ``a b c`` from the current version.
             self.tamper(chain, new=(b"X\n",))
             with pytest.raises(StorageError, match="rebuilds to hash"):
                 ham.open_node(node, time=before)
             assert ham.open_node(node)[0] == b"a\nB\nc\n"
+
+
+# ----------------------------------------------------------------------
+# packed history: a loaded chain keeps its deltas encoded until a read
+# walks into them, and re-encodes them by splicing
+
+def unpacked_deltas(chain):
+    """The ``"deltas"`` record field encoded afresh from every decoded
+    delta — the oracle the splice must equal byte for byte."""
+    return encode_value([encode_script(script) for script in chain.deltas()])
+
+
+def legacy_record(chain):
+    """The record form written before packing: a list of scripts."""
+    record = chain.to_record()
+    record["deltas"] = [encode_script(script) for script in chain.deltas()]
+    return record
+
+
+class TestPackedHistory:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_splice_equals_encoding_the_decoded_list(self, seed):
+        # Check-ins, reloads (the history so far becomes the packed
+        # part; check-ins after it go to the tail) and clones that
+        # diverge, in a seeded order; every chain's record must equal
+        # the fresh encoding of its deltas, and every version read back.
+        rng = random.Random(seed)
+        versions = generate_versions(EditTrace(
+            initial_lines=30, versions=60, edits_per_version=2, seed=seed))
+        chains = [(DeltaStore(versions[0], time=1), [versions[0]])]
+        for contents in versions[1:]:
+            roll = rng.random()
+            index = rng.randrange(len(chains))
+            chain, history = chains[index]
+            if roll < 0.15:
+                chain = DeltaStore.from_record(chain.to_record())
+                chains[index] = (chain, history)
+            elif roll < 0.25 and len(chains) < 4:
+                chains.append((chain.clone(), list(history)))
+            history.append(contents)
+            chain.check_in(contents, time=len(history))
+        reloaded = 0
+        for chain, history in chains:
+            reloaded += chain._packed is not None and bool(chain._tail)
+            assert chain.to_record()["deltas"] == unpacked_deltas(chain)
+            chain.cache = None
+            for time, contents in enumerate(history, start=1):
+                assert chain.get_exact(time) == contents
+        assert reloaded, "no chain spliced a packed prefix with a tail"
+
+    def test_load_decodes_nothing_until_a_read_needs_it(self):
+        versions = generate_versions(EditTrace(initial_lines=20,
+                                               versions=8, seed=3))
+        chain = build("backward", versions)
+        loaded = DeltaStore.from_record(chain.to_record())
+        loaded.cache = None
+        loaded.check_in(b"after the load\n", time=len(versions) + 1)
+        assert loaded._packed._scripts is None
+        # The newest stored version walks only the tail.
+        assert loaded.get(len(versions)) == versions[-1]
+        assert loaded._packed._scripts is None
+        # A clone shares the prefix, so one decode serves both.
+        twin = loaded.clone()
+        assert twin.get(1) == versions[0]
+        assert loaded._packed._scripts is not None
+        assert loaded.to_record()["deltas"] == unpacked_deltas(loaded)
+
+    def test_legacy_list_form_loads(self):
+        versions = generate_versions(EditTrace(initial_lines=20,
+                                               versions=8, seed=5))
+        chain = build("backward", versions)
+        record = decode_value(encode_value(legacy_record(chain)))
+        loaded = DeltaStore.from_record(record)
+        loaded.cache = None
+        for time, contents in enumerate(versions, start=1):
+            assert loaded.get(time) == contents
+        assert loaded.to_record() == chain.to_record()
+
+    def test_deltas_header_must_match_the_version_count(self):
+        chain = build("backward", [b"a\n", b"b\n", b"c\n"])
+        record = chain.to_record()
+        record["times"] = record["times"][:-1]
+        with pytest.raises(StorageError, match="list of 1 scripts"):
+            DeltaStore.from_record(record)
+
+    @pytest.mark.parametrize("mask", [0x01, 0x41, 0x80, 0xFF])
+    def test_corrupt_packed_delta_never_reads_wrong_bytes(self, mask):
+        # Damage each byte past the list header in turn, as damage the
+        # heap and wire checksums did not see would: every version reads
+        # back exactly or raises StorageError, and the oldest one, whose
+        # walk crosses every delta, cannot be rebuilt.
+        versions = [b"a\nb\nc\nd\n", b"a\nB\nc\nd\n", b"a\nB\nc\n",
+                    b"x\na\nB\nc\n"]
+        record = build("backward", versions).to_record()
+        packed = record["deltas"]
+        for at in range(5, len(packed)):
+            damaged = bytearray(packed)
+            damaged[at] ^= mask
+            chain = DeltaStore.from_record(
+                dict(record, deltas=bytes(damaged)))
+            chain.cache = None
+            assert chain.get() == versions[-1]
+            for time, contents in enumerate(versions[1:-1], start=2):
+                try:
+                    assert chain.get(time) == contents
+                except StorageError:
+                    pass
+            with pytest.raises(StorageError):
+                chain.get(1)
+
+    def test_corrupt_packed_delta_in_a_snapshot_raises(self, tmp_path):
+        # A bad byte inside a chain's packed deltas, written back to the
+        # heap under a recomputed checksum: the graph opens (the
+        # deltas load encoded), the current version reads, and an
+        # as-of read through the bad delta raises StorageError.
+        path = tmp_path / "graph"
+        project_id, __ = HAM.create_graph(path)
+        bodies = [b"".join(b"common %d\n" % i for i in range(5))
+                  + b"edit %04d\n" % version for version in range(6)]
+        with HAM.open_graph(project_id, path) as ham:
+            node, time = ham.add_node()
+            times = []
+            for body in bodies:
+                time = ham.modify_node(node=node, expected_time=time,
+                                       contents=body)
+                times.append(time)
+            ham.checkpoint()
+        graph_dir = GraphDirectory(path)
+        record_id = graph_dir.read_meta()["snapshot"]
+        with graph_dir._open_heap() as heap:
+            payload = bytearray(heap.read(record_id))
+            at = payload.find(b"edit 0002\n")
+            assert at > 0 and payload.find(b"edit 0002\n", at + 1) > 0
+            payload[at + 8] ^= 0x01  # "edit 0003": the delta still decodes
+            heap._write_bytes(record_id, RECORD_HEADER.pack(
+                len(payload), zlib.crc32(payload)) + payload)
+        with HAM.open_graph(project_id, path) as ham:
+            assert ham.open_node(node)[0] == bodies[-1]
+            for time, body in zip(times, bodies):
+                try:
+                    assert ham.open_node(node, time=time)[0] == body
+                except StorageError:
+                    pass
+            with pytest.raises(StorageError):
+                ham.open_node(node, time=times[0])

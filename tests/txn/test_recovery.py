@@ -188,7 +188,7 @@ def _fed_replica(primary, directory):
     replica = Replica(primary, directory, start=False)
     try:
         with replica._apply_lock:
-            replica._ingest(primary._log.read_durable(replica._stream_end))
+            replica._ingest(*primary._log.read_durable(replica._stream_end))
         return chain_states(replica.ham)
     finally:
         replica.close()
@@ -329,7 +329,7 @@ class TestDeltaMismatch:
             frames = b"".join(pack_record(record.encode())
                               for record in records)
             with replica._apply_lock:
-                replica._ingest(frames)
+                replica._ingest(frames, replica._stream_end + len(frames))
             if kind == "good":
                 assert resyncs == []
                 assert replica.ham.open_node(node)[0] == edited
