@@ -11,14 +11,14 @@ magnitude less for editor-granularity writes.
 import pytest
 
 from conftest import report
-from repro.storage.deltas import DeltaStore, FullCopyStore
+from repro.storage.deltas import DeltaStore
 from repro.workloads.trace import EditTrace, generate_versions
 
 VERSION_COUNTS = [10, 50, 100]
 
 
-def _load(store_cls, versions):
-    store = store_cls(versions[0], time=1)
+def _load(versions):
+    store = DeltaStore(versions[0], time=1)
     for position, contents in enumerate(versions[1:], start=2):
         store.check_in(contents, time=position)
     return store
@@ -39,16 +39,7 @@ def traces():
 def test_b1_delta_check_in_cost(benchmark, traces, count):
     """Time to store a whole history as backward deltas."""
     versions = traces[count]
-    store = benchmark(_load, DeltaStore, versions)
-    assert store.get() == versions[-1]
-
-
-@pytest.mark.benchmark(group="B1 delta check-in")
-@pytest.mark.parametrize("count", VERSION_COUNTS)
-def test_b1_full_copy_check_in_cost(benchmark, traces, count):
-    """Baseline: time to store the same history as full copies."""
-    versions = traces[count]
-    store = benchmark(_load, FullCopyStore, versions)
+    store = benchmark(_load, versions)
     assert store.get() == versions[-1]
 
 
@@ -60,9 +51,9 @@ def test_b1_storage_table(benchmark, traces):
         rows = []
         for count in VERSION_COUNTS:
             versions = traces[count]
-            delta = _load(DeltaStore, versions).stats()
-            copies = _load(FullCopyStore, versions).stats()
-            rows.append((count, delta.total_bytes, copies.total_bytes))
+            delta = _load(versions).stats()
+            copies = sum(len(contents) for contents in versions)
+            rows.append((count, delta.total_bytes, copies))
         return rows
 
     rows = benchmark(build_table)

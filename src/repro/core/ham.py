@@ -883,12 +883,10 @@ class HAM:
         """Pinned watermark for an explicit read-only transaction.
 
         Returns None when the read should see latest-committed state:
-        writer transactions (they read their own overlay), auto
-        single-op transactions, and everything once
-        ``snapshot_reads`` is switched off.
+        writer transactions (they read their own overlay) and auto
+        single-op transactions.
         """
-        if (txn is not None and txn.read_only and not txn.auto
-                and self._txns.snapshot_reads):
+        if txn is not None and txn.read_only and not txn.auto:
             return txn.watermark
         return None
 

@@ -34,21 +34,10 @@ from repro.errors import (
     VersionError,
 )
 from repro.storage.cas import content_hash
-from repro.storage.deltas import DeltaStore, KeyframeDeltaStore
+from repro.storage.deltas import DeltaStore
 from repro.storage.diff import Difference
 
 __all__ = ["NodeRecord"]
-
-
-def _chain_from_record(record: dict):
-    """Rebuild whichever chain type wrote ``record``.
-
-    Keyframe chains mark their records with an ``interval`` field;
-    either type can sit behind the catalog as a drop-in backend.
-    """
-    if "interval" in record:
-        return KeyframeDeltaStore.from_record(record)
-    return DeltaStore.from_record(record)
 
 
 class NodeRecord:
@@ -156,18 +145,16 @@ class NodeRecord:
         optimistic-concurrency check the Appendix mandates ("Time must be
         equal to the version time of the current version of the node").
 
-        Returns ``(base hash, forward script, new hash)`` when the chain
-        computed a forward script — the delta form a redo record may
-        carry (see :meth:`modify_by_script`) — and None for a file node
-        or a chain that diffs no script.
+        Returns ``(base hash, forward script, new hash)`` for an archive
+        node — the delta form a redo record may carry (see
+        :meth:`modify_by_script`) — and None for a file node.
         """
         self._require_modifiable(expected_time)
         delta = None
         if self._archive is not None:
             base = self._archive.hash_at(-1)
             forward = self._archive.check_in(contents, time)
-            if forward is not None:
-                delta = (base, forward, self._archive.hash_at(-1))
+            delta = (base, forward, self._archive.hash_at(-1))
         else:
             contents = bytes(contents)
             digest = content_hash(contents)
@@ -192,7 +179,7 @@ class NodeRecord:
         hash and the script yields ``digest``.
         """
         self._require_modifiable(expected_time)
-        if not isinstance(self._archive, DeltaStore):
+        if self._archive is None:
             raise RecoveryError(
                 f"node {self.index}: delta record for a node that keeps "
                 f"no backward-delta chain")
@@ -360,7 +347,7 @@ class NodeRecord:
         ]
         node._catalog = None
         node._archive = (
-            _chain_from_record(record["archive"])
+            DeltaStore.from_record(record["archive"])
             if record["archive"] is not None else None)
         node._file_contents = record["file_contents"]
         node._file_time = record["file_time"]

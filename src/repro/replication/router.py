@@ -18,7 +18,9 @@ Consistency guarantees:
 - **Bounded staleness.**  A replica whose replay lag exceeds
   ``staleness_budget`` bytes is ineligible.  Lag is sampled from
   ``replStatus`` at most every ``status_interval`` seconds, so the
-  bound holds at that granularity.
+  bound holds at that granularity.  A replica whose sampled status shows
+  its stream stopped serves no further reads: its lag stops growing
+  when its state does.
 - **Wait-or-fail.**  When no replica qualifies, the router polls for up
   to ``ryw_timeout`` seconds, then either falls back to the primary
   (``fallback_to_primary=True``, the default — counted in
@@ -62,15 +64,29 @@ class ReplicaEndpoint:
         self.port = port
         self.name = name or f"{host}:{port}"
         self.client: RemoteHAM | None = None
+        #: False once a call or a status sample failed on the transport.
         self.healthy = True
+        #: False once a status sample showed the replica's stream stopped.
+        self.streaming = True
         #: Cached ``replStatus`` fields (watermarks only ever advance,
         #: so a satisfied cached requirement stays satisfied).
         self.replayed_lsn = 0
         self.lag_bytes = 0
         self.checked_at = 0.0
 
+    @property
+    def serving(self) -> bool:
+        """Reachable, and replaying a stream that still advances."""
+        return self.healthy and self.streaming
+
     def refresh(self) -> bool:
-        """Re-sample ``replStatus``; returns False on a dead endpoint."""
+        """Re-sample ``replStatus``; returns False unless still serving.
+
+        A replica whose stream stopped answers from a state that no
+        longer advances, and its lag reads as settled because the
+        source's durable end stopped updating with it, so it stops
+        serving reads.  A primary's status has no ``streaming`` field.
+        """
         try:
             status = self.client.repl_status()
         except _TRANSPORT_ERRORS:
@@ -81,7 +97,8 @@ class ReplicaEndpoint:
         self.lag_bytes = int(status.get("lag_bytes", 0))
         self.checked_at = _time.monotonic()
         self.healthy = True
-        return True
+        self.streaming = bool(status.get("streaming", True))
+        return self.streaming
 
 
 class ReplicatedHAM:
@@ -246,6 +263,7 @@ class ReplicatedHAM:
         replicas = []
         for endpoint in self._readers:
             entry = {"name": endpoint.name, "healthy": endpoint.healthy,
+                     "streaming": endpoint.streaming,
                      "replayed_lsn": endpoint.replayed_lsn,
                      "lag_bytes": endpoint.lag_bytes}
             replicas.append(entry)
@@ -279,7 +297,7 @@ class ReplicatedHAM:
         deadline = _time.monotonic() + self.ryw_timeout
         while True:
             candidates = [endpoint for endpoint in self._readers
-                          if endpoint.healthy and endpoint.client is not None]
+                          if endpoint.serving and endpoint.client is not None]
             if not candidates:
                 break
             now = _time.monotonic()
@@ -296,7 +314,7 @@ class ReplicatedHAM:
             for offset in range(len(candidates)):
                 endpoint = candidates[
                     (self._rotation + offset) % len(candidates)]
-                if endpoint.healthy and self._qualifies(endpoint, need, now):
+                if endpoint.serving and self._qualifies(endpoint, need, now):
                     self._rotation += 1
                     return endpoint.client
             if _time.monotonic() >= deadline:

@@ -38,7 +38,6 @@ from repro.server.protocol import (
 from repro.server.server import HAMServer, ServerConfig
 from repro.server.client import (
     BatchFuture,
-    PipelineBatch,
     PipelineFuture,
     RemoteBatch,
     RemoteHAM,
@@ -60,7 +59,6 @@ __all__ = [
     "RemoteHAM",
     "RemoteBatch",
     "RemotePipeline",
-    "PipelineBatch",
     "PipelineFuture",
     "BatchFuture",
     "RemoteTransaction",

@@ -71,8 +71,8 @@ from repro.errors import (
 from repro.server.protocol import FrameDecoder, encode_message, read_message
 from repro.tools.metrics import RESILIENCE, SUBSCRIPTIONS
 
-__all__ = ["BatchFuture", "PipelineBatch", "PipelineFuture", "RemoteBatch",
-           "RemoteHAM", "RemoteTransaction", "RemotePipeline", "RemoteWatch",
+__all__ = ["BatchFuture", "PipelineFuture", "RemoteBatch", "RemoteHAM",
+           "RemoteTransaction", "RemotePipeline", "RemoteWatch",
            "RetryPolicy"]
 
 
@@ -874,7 +874,7 @@ class PipelineFuture:
     """
 
     __slots__ = ("method", "request_id", "_pipeline", "_decode", "_state",
-                 "_value", "_error", "_cause", "_on_done")
+                 "_value", "_error", "_cause")
 
     def __init__(self, pipeline: "RemotePipeline", request_id: int,
                  method: str, decode):
@@ -886,7 +886,6 @@ class PipelineFuture:
         self._value = None
         self._error: dict | None = None
         self._cause: BaseException | None = None
-        self._on_done = None
 
     def done(self) -> bool:
         return self._state != "pending"
@@ -921,15 +920,11 @@ class PipelineFuture:
         else:
             self._error = response.get("error") or {}
             self._state = "error"
-        if self._on_done is not None:
-            self._on_done(self)
 
     def _abandon(self, cause: BaseException) -> None:
         if self._state == "pending":
             self._cause = cause
             self._state = "abandoned"
-            if self._on_done is not None:
-                self._on_done(self)
 
 
 class RemotePipeline:
@@ -951,8 +946,7 @@ class RemotePipeline:
     ``begin()`` returns a future resolving to a
     :class:`RemoteTransaction`; pipelining operations *under* a
     transaction therefore has one sync point (``begin().result()``) and
-    streams from there.  ``batch()`` composes: queued entries flush as a
-    single pipelined ``call_batch`` frame.
+    streams from there.
     """
 
     def __init__(self, client: RemoteHAM, max_inflight: int | None = None):
@@ -1079,10 +1073,6 @@ class RemotePipeline:
             txn.finished = True
         return self._issue("abort", {"txn": _txn_id(txn)}, decode)
 
-    def batch(self) -> "PipelineBatch":
-        """A :class:`RemoteBatch` whose flush rides this pipeline."""
-        return PipelineBatch(self)
-
     # ------------------------------------------------------------------
     # the wire
 
@@ -1174,63 +1164,6 @@ class RemotePipeline:
         for future in futures:
             future._abandon(cause)
         self._client._teardown_locked()
-
-
-class PipelineBatch(RemoteBatch):
-    """A batch whose flush is one pipelined ``call_batch`` frame.
-
-    Composes the two amortizations: the batch collapses N operations
-    into one frame, the pipeline lets that frame fly without waiting
-    for it.  ``flush()`` (or the ``with`` exit) returns immediately;
-    each :class:`BatchFuture` resolves when the pipeline services the
-    ``call_batch`` reply — call ``result()`` after the pipeline block,
-    or on the returned pipeline future to force it early.
-    """
-
-    def __init__(self, pipeline: RemotePipeline):
-        super().__init__(pipeline._client)
-        self._pipeline = pipeline
-
-    def flush(self) -> PipelineFuture | None:
-        if not self._queue:
-            return None
-        queued, self._queue = self._queue, []
-        calls = [[operation.name, wire_params]
-                 for operation, wire_params, __ in queued]
-
-        def decode(entries):
-            if not isinstance(entries, (list, tuple)) \
-                    or len(entries) != len(queued):
-                raise ProtocolError(
-                    "call_batch returned a malformed result list")
-            for (operation, __, batch_future), entry in zip(queued, entries):
-                ok, payload = entry
-                if ok:
-                    batch_future._resolve(
-                        operation.result.from_wire(payload))
-                else:
-                    batch_future._fail(payload)
-            return [future for __, __, future in queued]
-
-        inner = self._pipeline._issue("call_batch", {"calls": calls}, decode)
-
-        def on_done(future: PipelineFuture) -> None:
-            # Error and abandonment also fan out to the entry futures,
-            # so no BatchFuture is ever left claiming "not flushed yet".
-            if future._state == "error":
-                for __, __, batch_future in queued:
-                    if not batch_future.done():
-                        batch_future._fail(future._error)
-            elif future._state == "abandoned":
-                for __, __, batch_future in queued:
-                    if not batch_future.done():
-                        batch_future._fail({
-                            "type": "ConnectionError",
-                            "message": "pipeline connection lost before "
-                                       "the batch reply arrived"})
-
-        inner._on_done = on_done
-        return inner
 
 
 def _install_stubs() -> None:

@@ -1,13 +1,12 @@
 """Content-addressable storage for node-content versions.
 
-Every payload a version chain retains *whole* — a backward chain's
-current version, a keyframe chain's keyframes, a file node's contents —
-is keyed by its blake2b content hash in the owning graph's
-:class:`BlobCatalog`.  The catalog interns payloads: identical bytes
-checked into different versions, contexts (a context copy re-checks the
-same contents into a fresh node), or nodes are stored once and shared by
-reference, with a refcount tracking how many chain slots retain each
-blob.
+Every payload a node retains *whole* — a version chain's current
+version, a file node's contents — is keyed by its blake2b content hash
+in the owning graph's :class:`BlobCatalog`.  The catalog interns
+payloads: identical bytes checked into different versions, contexts (a
+context copy re-checks the same contents into a fresh node), or nodes
+are stored once and shared by reference, with a refcount tracking how
+many chain slots retain each blob.
 
 What the hashes buy:
 
@@ -221,10 +220,6 @@ def _archive_sites(archive: dict):
     if not hashes:
         return  # pre-catalog record: nothing addressable by hash
     yield archive, "current", bytes(hashes[-1])
-    keyframes = archive.get("keyframes")
-    if keyframes:
-        for key in keyframes:
-            yield keyframes, key, bytes(hashes[int(key)])
 
 
 def _node_sites(record: dict):

@@ -38,9 +38,6 @@ Two layers ride on top of the chains (see :mod:`repro.storage.cas` and
   same chain position.  ``chain.cache = None`` disables memoization for
   one chain; assigning a private
   :class:`~repro.storage.blockcache.BlockCache` isolates it.
-
-:class:`FullCopyStore` is the baseline the benchmarks compare against: the
-naive design that stores every version whole.
 """
 
 from __future__ import annotations
@@ -62,9 +59,8 @@ from repro.storage.diff import (
 )
 from repro.storage.serializer import decode_value, encode_value, list_header
 
-__all__ = ["DeltaStore", "FullCopyStore", "KeyframeDeltaStore",
-           "DeltaChainStats", "encode_script", "decode_script",
-           "script_bytes"]
+__all__ = ["DeltaStore", "DeltaChainStats", "encode_script",
+           "decode_script", "script_bytes"]
 
 #: Chain identities for cache keys.  A fresh id per constructed chain —
 #: ``id()`` would be reusable after garbage collection.  Clones *share*
@@ -163,7 +159,13 @@ class _PackedDeltas:
 
 
 class _CachedChain:
-    """Shared cache plumbing for the two delta-chain classes."""
+    """A chain's memoized read path: the block cache and the hash check.
+
+    :class:`DeltaStore` supplies ``_walk``, ``_times``, ``_hashes`` and
+    ``_current``.  The standing benchmark's tracer (``bench/trace.py``)
+    times every version read by wrapping ``_CachedChain._read`` by name,
+    so the read path keeps its own class body.
+    """
 
     @property
     def cache(self):
@@ -533,247 +535,3 @@ class DeltaStore(_CachedChain):
             contents = apply_differences_bytes(contents, deltas[index])
             hashes[index] = content_hash(contents)
         return hashes
-
-
-class KeyframeDeltaStore(_CachedChain):
-    """Backward deltas with periodic full keyframes.
-
-    The middle ground between :class:`DeltaStore` (minimal storage,
-    O(depth) old-version access) and :class:`FullCopyStore` (maximal
-    storage, O(1) access): every ``interval``-th version is stored
-    whole, bounding any version's reconstruction to at most
-    ``interval - 1`` delta applications *forward* from the keyframe at
-    or before it.  Deltas here are therefore **forward** within a
-    keyframe segment (keyframe → next versions), unlike the pure
-    backward chain; the current version is still O(1) because the last
-    version of the last segment is also kept whole.
-
-    Interface parity with :class:`DeltaStore` (``get_exact``,
-    ``clone``, ``to_record``/``from_record``,
-    catalog attachment, cache memoization) lets either chain type sit
-    behind the blob catalog as a drop-in backend; keyframe payloads
-    take one catalog ref each, on top of the current version's slot.
-
-    The benchmark B2 ablation measures the resulting access-latency
-    plateau against the pure backward chain.
-    """
-
-    def __init__(self, initial: bytes, time: int, interval: int = 10,
-                 catalog=None):
-        if time <= 0:
-            raise VersionError("version time must be positive")
-        if interval < 2:
-            raise VersionError("keyframe interval must be >= 2")
-        self._interval = interval
-        self._catalog = catalog
-        initial = bytes(initial)
-        digest = content_hash(initial)
-        if catalog is not None:
-            initial, digest = catalog.intern(initial, digest)  # current
-            initial, digest = catalog.intern(initial, digest)  # keyframe
-        self._times: list[int] = [time]
-        self._hashes: list[bytes] = [digest]
-        #: Segment starts: version index → full contents.
-        self._keyframes: dict[int, bytes] = {0: initial}
-        #: Forward delta for version i (reconstructs i from i-1), absent
-        #: for keyframe versions.
-        self._forward: dict[int, list[Difference]] = {}
-        self._current = initial
-        self._chain_id = next(_CHAIN_IDS)
-        self._cache = _PROCESS_CACHE
-
-    def check_in(self, contents: bytes, time: int) -> None:
-        """Store a new current version with timestamp ``time``."""
-        if time <= self._times[-1]:
-            raise VersionError(
-                f"version time {time} does not advance past "
-                f"{self._times[-1]}")
-        contents = bytes(contents)
-        digest = content_hash(contents)
-        previous_digest = self._hashes[-1]
-        index = len(self._times)
-        if self._catalog is not None:
-            contents, digest = self._catalog.intern(contents, digest)
-        if index % self._interval == 0:
-            if self._catalog is not None:
-                # A keyframe is retained whole forever: its own ref, on
-                # top of the current-version slot's.
-                contents, digest = self._catalog.intern(contents, digest)
-            self._keyframes[index] = contents
-        else:
-            self._forward[index] = diff_bytes(self._current, contents)
-        self._times.append(time)
-        self._hashes.append(digest)
-        self._current = contents
-        if self._catalog is not None:
-            self._catalog.release(previous_digest)
-
-    @property
-    def current_time(self) -> int:
-        """Timestamp of the current version."""
-        return self._times[-1]
-
-    @property
-    def times(self) -> list[int]:
-        """All version timestamps, oldest first."""
-        return list(self._times)
-
-    def get(self, time: int = 0) -> bytes:
-        """Contents at ``time`` (0 = current); old versions memoized."""
-        if time == 0 or time >= self._times[-1]:
-            return self._current
-        if time < self._times[0]:
-            raise VersionError(
-                f"no version exists at time {time} "
-                f"(first version is at {self._times[0]})")
-        return self._read(bisect.bisect_right(self._times, time) - 1)
-
-    def get_exact(self, time: int) -> bytes:
-        """Contents of the version checked in at exactly ``time``."""
-        if time == 0 or time == self._times[-1]:
-            return self._current
-        index = bisect.bisect_left(self._times, time)
-        if index == len(self._times) or self._times[index] != time:
-            raise VersionError(f"no version was checked in at time {time}")
-        return self._read(index)
-
-    def _walk(self, index: int) -> bytes:
-        """Version ``index``: the forward deltas from its keyframe."""
-        start = index - (index % self._interval)
-        return apply_scripts_bytes(
-            self._keyframes[start],
-            (self._forward[step] for step in range(start + 1, index + 1)))
-
-    def clone(self) -> "KeyframeDeltaStore":
-        """Independent copy sharing payloads (see :meth:`DeltaStore.clone`)."""
-        copy = KeyframeDeltaStore.__new__(KeyframeDeltaStore)
-        copy._interval = self._interval
-        copy._times = list(self._times)
-        copy._hashes = list(self._hashes)
-        copy._keyframes = dict(self._keyframes)
-        copy._forward = dict(self._forward)
-        copy._current = self._current
-        copy._catalog = self._catalog
-        copy._chain_id = self._chain_id
-        copy._cache = self._cache
-        return copy
-
-    def rebind_catalog(self, catalog) -> None:
-        """Point future intern/release traffic at ``catalog`` (no refs move)."""
-        self._catalog = catalog
-
-    def attach_catalog(self, catalog) -> None:
-        """Adopt ``catalog``, interning every retained-whole payload."""
-        self._catalog = catalog
-        self._current, __ = catalog.intern(self._current, self._hashes[-1])
-        for index in sorted(self._keyframes):
-            payload, __ = catalog.intern(self._keyframes[index],
-                                         self._hashes[index])
-            self._keyframes[index] = payload
-        if (len(self._times) - 1) in self._keyframes:
-            # Keep current and its keyframe slot the same object.
-            self._current = self._keyframes[len(self._times) - 1]
-
-    def stats(self) -> DeltaChainStats:
-        """Storage accounting: keyframes count toward history bytes."""
-        history = sum(
-            len(contents)
-            for index, contents in self._keyframes.items()
-            if index != len(self._times) - 1)
-        history += sum(script_bytes(script)
-                       for script in self._forward.values())
-        return DeltaChainStats(
-            version_count=len(self._times),
-            current_bytes=len(self._current),
-            delta_bytes=history,
-        )
-
-    def to_record(self) -> dict:
-        """Encodable snapshot of the whole chain (for the record heap)."""
-        return {
-            "interval": self._interval,
-            "current": self._current,
-            "times": list(self._times),
-            "hashes": list(self._hashes),
-            "keyframes": {str(index): contents
-                          for index, contents in self._keyframes.items()},
-            "forward": {str(index): _encode_script(script)
-                        for index, script in self._forward.items()},
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "KeyframeDeltaStore":
-        """Rebuild a chain from :meth:`to_record` output."""
-        store = cls.__new__(cls)
-        store._interval = record["interval"]
-        store._current = record["current"]
-        store._times = list(record["times"])
-        store._keyframes = {int(index): contents
-                            for index, contents
-                            in record["keyframes"].items()}
-        store._forward = {int(index): _decode_script(script)
-                          for index, script in record["forward"].items()}
-        store._catalog = None
-        store._chain_id = next(_CHAIN_IDS)
-        store._cache = _PROCESS_CACHE
-        hashes = record.get("hashes")
-        if hashes:
-            store._hashes = [bytes(digest) for digest in hashes]
-        else:
-            store._hashes = [content_hash(store._walk(index))
-                             for index in range(len(store._times))]
-        return store
-
-
-class FullCopyStore:
-    """Baseline version store: every version kept whole.
-
-    Same interface as :class:`DeltaStore`; exists so benchmark B1/B2 can
-    measure what backward deltas buy.
-    """
-
-    def __init__(self, initial: bytes, time: int):
-        if time <= 0:
-            raise VersionError("version time must be positive")
-        self._times: list[int] = [time]
-        self._payloads: list[bytes] = [bytes(initial)]
-
-    def check_in(self, contents: bytes, time: int) -> None:
-        """Store a new current version with timestamp ``time``."""
-        if time <= self._times[-1]:
-            raise VersionError(
-                f"version time {time} does not advance past "
-                f"{self._times[-1]}")
-        self._times.append(time)
-        self._payloads.append(bytes(contents))
-
-    @property
-    def current_time(self) -> int:
-        """Timestamp of the current version."""
-        return self._times[-1]
-
-    @property
-    def times(self) -> list[int]:
-        """All version timestamps, oldest first."""
-        return list(self._times)
-
-    def get(self, time: int = 0) -> bytes:
-        """Contents at ``time`` (0 = current).
-
-        A bisect probe, like :meth:`DeltaStore.version_index_at` — the
-        old linear reverse scan made long-history baselines quadratic.
-        """
-        if time == 0:
-            return self._payloads[-1]
-        if time < self._times[0]:
-            raise VersionError(f"no version exists at time {time}")
-        return self._payloads[bisect.bisect_right(self._times, time) - 1]
-
-    def stats(self) -> DeltaChainStats:
-        """Storage accounting (every version counted whole)."""
-        return DeltaChainStats(
-            version_count=len(self._times),
-            current_bytes=len(self._payloads[-1]),
-            delta_bytes=sum(len(contents)
-                            for contents in self._payloads[:-1]),
-        )

@@ -35,9 +35,6 @@ per DESIGN.md "Isolation and visibility"):
 Locking (writers only) is strict two-phase: locks accumulate during the
 transaction and release only after the outcome is decided — for a
 synchronous commit, after the commit record is durable and applied.
-Setting :attr:`TransactionManager.snapshot_reads` to ``False`` restores
-the seed's 2PL behaviour (read-only transactions acquire shared locks
-again); the B13 benchmark uses exactly this knob as its baseline.
 """
 
 from __future__ import annotations
@@ -103,14 +100,12 @@ class Transaction:
     def lock(self, resource: object, mode: LockMode) -> None:
         """Acquire a lock, held until this transaction finishes.
 
-        Read-only transactions under snapshot reads skip the lock table
-        entirely — their pinned watermark already isolates them — so
-        this is a counted no-op for them.  With
-        :attr:`TransactionManager.snapshot_reads` off, every request
-        goes to the lock manager (the seed's 2PL behaviour).
+        Read-only transactions skip the lock table entirely — their
+        pinned watermark already isolates them — so this is a counted
+        no-op for them.
         """
         self._require_active()
-        if self.read_only and self._manager.snapshot_reads:
+        if self.read_only:
             if not self.auto:  # autos are uncounted: they are the
                 self._manager.count_lock_bypass()  # bare-read hot path
             return
@@ -200,10 +195,6 @@ class TransactionManager:
         #: only survives process crashes, not power loss — same trade-off
         #: as an async-commit database setting).
         self.synchronous = synchronous
-        #: When True (default), read-only transactions pin a watermark
-        #: at begin and bypass the lock table; when False they take
-        #: shared locks like the seed's 2PL read path (B13 baseline).
-        self.snapshot_reads = True
         #: The graph's logical clock (watermark source); None for
         #: standalone managers in unit tests, which then pin watermark 0
         #: (== CURRENT, so snapshot reads degrade to latest-state reads).
@@ -292,7 +283,7 @@ class TransactionManager:
             txn.auto = auto
             if read_only:
                 self._read_only_txns += 1
-                if self.snapshot_reads and not auto:
+                if not auto:
                     self._snapshot_txns += 1
                     _counters().increment("snapshot_txns")
             self._active[txn_id] = txn

@@ -74,18 +74,6 @@ class TestZeroLocks:
         writer.commit()
         assert ham.open_node(node)[0] == b"new"
 
-    def test_disabling_snapshot_reads_restores_shared_locks(self, ham):
-        node, time = ham.add_node()
-        ham.modify_node(node=node, expected_time=time, contents=b"x")
-        ham._txns.snapshot_reads = False
-        before = lock_stats(ham)
-        txn = ham.begin(read_only=True)
-        ham.open_node(node, txn=txn)
-        txn.commit()
-        after = lock_stats(ham)
-        assert after.acquires > before.acquires
-        assert snapshot_stats(ham)["lock_bypasses"] == 0
-
 
 class TestFrozenView:
     def test_pinned_reader_does_not_see_later_commits(self, ham):

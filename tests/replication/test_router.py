@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from repro.core.ham import HAM
 from repro.errors import NotPrimaryError, ReplicaLagError, RetryableError
 from repro.replication.replica import Replica
 from repro.replication.router import ReplicatedHAM
-from repro.server.client import RemoteHAM
+from repro.server.client import RemoteHAM, RetryPolicy
 from repro.server.host import GraphHost
 from repro.server.server import HAMServer
 
@@ -276,6 +277,87 @@ class TestSessionGuarantees:
             value = router.get_node_attribute_value(node=node,
                                                     attribute=attr)
             assert value == "pre-reconnect"
+        finally:
+            router.close()
+
+
+class TestStoppedReplicas:
+    """A replica that stops streaming, or stops answering, stops serving
+    reads: the router answers from the primary instead."""
+
+    @pytest.fixture
+    def single(self, tmp_path):
+        cluster = Cluster(tmp_path, replicas=1)
+        yield cluster
+        cluster.close()
+
+    def test_stopped_stream_is_not_read_without_ryw(self, single):
+        # Without read-your-writes only the staleness budget guards the
+        # read.  A stopped replica's lag freezes at its last sample (0
+        # here), so the stream state itself must rule it out, or the
+        # router serves the old version for ever.
+        router = single.router(read_your_writes=False, status_interval=0.05)
+        try:
+            node, t = router.add_node()
+            t = router.modify_node(node=node, expected_time=t,
+                                   contents=b"v1")
+            single.await_catchup()
+            single.replicas[0].stop()
+            router.modify_node(node=node, expected_time=t, contents=b"v2")
+            time.sleep(0.1)  # past status_interval: the next read samples
+            assert router.open_node(node)[0] == b"v2"
+            endpoint = router._readers[0]
+            assert endpoint.healthy and not endpoint.streaming
+            assert router.cluster_status()["replicas"][0]["streaming"] is False
+        finally:
+            router.close()
+
+    def test_stopped_stream_reads_fall_back_without_waiting(self, single):
+        # Under read-your-writes a stopped replica never reaches the
+        # session's LSN; the router must not sit out ryw_timeout on it
+        # for every read.
+        router = single.router(ryw_timeout=2.0)
+        try:
+            node, t = router.add_node()
+            single.await_catchup()
+            single.replicas[0].stop()
+            for n in range(3):
+                t = router.modify_node(node=node, expected_time=t,
+                                       contents=b"v%d" % n)
+                started = time.monotonic()
+                assert router.open_node(node)[0] == b"v%d" % n
+                assert time.monotonic() - started < 1.0
+        finally:
+            router.close()
+
+    def test_dead_replica_reads_fail_over_to_primary(self, single):
+        # The cached status still qualifies the replica, so the read is
+        # sent to it and dies on the transport; the router must mark it
+        # dead and answer from the primary.  Run in a thread: if the
+        # endpoint stayed eligible, the read would loop for ever.
+        router = single.router(
+            read_your_writes=False, status_interval=30.0,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.01))
+        try:
+            node, t = router.add_node()
+            t = router.modify_node(node=node, expected_time=t,
+                                   contents=b"replica copy")
+            single.await_catchup()
+            endpoint = router._readers[0]
+            assert endpoint.refresh()
+            single.replicas[0].stop()
+            router.modify_node(node=node, expected_time=t,
+                               contents=b"primary copy")
+            single.replica_servers[0].stop(disconnect_clients=True)
+            answers = []
+            reader = threading.Thread(
+                target=lambda: answers.append(router.open_node(node)[0]),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=20.0)
+            assert not reader.is_alive(), "routed read never returned"
+            assert answers == [b"primary copy"]
+            assert not endpoint.healthy
         finally:
             router.close()
 

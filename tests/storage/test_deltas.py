@@ -1,4 +1,4 @@
-"""Tests for the backward-delta version store and its baseline."""
+"""Tests for the backward-delta version store."""
 
 import random
 import zlib
@@ -12,13 +12,8 @@ from repro import HAM
 from repro.core.graph import GraphDirectory
 from repro.errors import StorageError, VersionError
 from repro.storage.blockcache import BlockCache
-from repro.storage.cas import content_hash
-from repro.storage.deltas import (
-    DeltaStore,
-    FullCopyStore,
-    KeyframeDeltaStore,
-    encode_script,
-)
+from repro.storage.cas import BlobCatalog, content_hash
+from repro.storage.deltas import DeltaStore, encode_script
 from repro.storage.diff import apply_differences_bytes
 from repro.storage.serializer import RECORD_HEADER, decode_value, encode_value
 from repro.workloads.trace import EditTrace, generate_versions
@@ -85,54 +80,33 @@ class TestDeltaStoreBasics:
         store.check_in(blob[:100] + b"\x00\x01" + blob[120:], time=2)
         assert store.get(1) == blob
 
+    def test_same_answers_as_the_version_list(self):
+        versions = [b"one\n", b"one\ntwo\n", b"two\n"]
+        delta = DeltaStore(versions[0], time=1)
+        for position, contents in enumerate(versions[1:], start=2):
+            delta.check_in(contents, time=position)
+        for time, expected in ((0, versions[-1]), (1, versions[0]),
+                               (2, versions[1]), (3, versions[2])):
+            assert delta.get(time) == expected
+
 
 class TestStorageEfficiency:
     def test_deltas_store_much_less_than_copies(self):
         versions = generate_versions(
             EditTrace(initial_lines=200, versions=40, edits_per_version=2))
         delta = DeltaStore(versions[0], time=1)
-        copies = FullCopyStore(versions[0], time=1)
         for position, contents in enumerate(versions[1:], start=2):
             delta.check_in(contents, time=position)
-            copies.check_in(contents, time=position)
         delta_total = delta.stats().total_bytes
-        copy_total = copies.stats().total_bytes
-        # Small local edits: deltas should be dramatically smaller.
+        copy_total = sum(len(contents) for contents in versions)
+        # Small local edits: deltas should be dramatically smaller than
+        # keeping every version whole.
         assert delta_total < copy_total / 5
 
     def test_stats_version_count(self):
         store = DeltaStore(b"a\n", time=1)
         store.check_in(b"b\n", time=2)
         assert store.stats().version_count == 2
-
-    def test_full_copy_counts_every_version(self):
-        store = FullCopyStore(b"aaaa", time=1)
-        store.check_in(b"bbbb", time=2)
-        stats = store.stats()
-        assert stats.current_bytes == 4
-        assert stats.delta_bytes == 4
-
-
-class TestFullCopyStore:
-    def test_same_interface_results(self):
-        versions = [b"one\n", b"one\ntwo\n", b"two\n"]
-        delta = DeltaStore(versions[0], time=1)
-        copies = FullCopyStore(versions[0], time=1)
-        for position, contents in enumerate(versions[1:], start=2):
-            delta.check_in(contents, time=position)
-            copies.check_in(contents, time=position)
-        for time in (0, 1, 2, 3):
-            assert delta.get(time) == copies.get(time)
-
-    def test_rejects_stale_time(self):
-        store = FullCopyStore(b"a", time=2)
-        with pytest.raises(VersionError):
-            store.check_in(b"b", time=2)
-
-    def test_get_before_first_raises(self):
-        store = FullCopyStore(b"a", time=5)
-        with pytest.raises(VersionError):
-            store.get(1)
 
 
 class TestPersistence:
@@ -152,6 +126,112 @@ class TestPersistence:
         record = decode_value(encode_value(store.to_record()))
         restored = DeltaStore.from_record(record)
         assert restored.get(1) == b"data\n"
+
+
+class TestChainSurfaces:
+    """Seeded histories through every surface the node layer uses:
+    ``get``, ``get_exact``, ``clone``, ``to_record``/``from_record`` and
+    catalog attachment, judged against the plain list of versions."""
+
+    @staticmethod
+    def versions(seed, count=30):
+        return generate_versions(
+            EditTrace(initial_lines=40, versions=count,
+                      edits_per_version=3, seed=seed))
+
+    @staticmethod
+    def uncached(versions):
+        chain = build(versions)
+        chain.cache = None  # these are about the chain, not memoization
+        return chain
+
+    def test_every_version_readable_both_ways(self):
+        versions = self.versions(seed=7)
+        chain = self.uncached(versions)
+        for position, contents in enumerate(versions, start=1):
+            assert chain.get(position) == contents
+            assert chain.get_exact(position) == contents
+        assert chain.get() == versions[-1]
+        assert chain.get(0) == versions[-1]
+
+    def test_long_history_matches_the_version_list(self):
+        versions = self.versions(seed=21, count=60)
+        chain = self.uncached(versions)
+        for probe in range(1, len(versions) + 1):
+            assert chain.get(probe) == versions[probe - 1]
+
+    def test_hashes_track_contents(self):
+        versions = self.versions(seed=11)
+        chain = self.uncached(versions)
+        for index, contents in enumerate(versions):
+            assert chain.hash_at(index) == content_hash(contents)
+
+    def test_clone_diverges_without_disturbing_original(self):
+        versions = self.versions(seed=5)
+        chain = self.uncached(versions)
+        copy = chain.clone()
+        copy.check_in(b"clone only", time=100)
+        chain.check_in(b"original only", time=200)
+        assert copy.get() == b"clone only"
+        assert chain.get() == b"original only"
+        for position, contents in enumerate(versions, start=1):
+            assert copy.get_exact(position) == contents
+            assert chain.get_exact(position) == contents
+
+    def test_record_round_trip_keeps_hashes(self):
+        versions = self.versions(seed=9)
+        chain = self.uncached(versions)
+        rebuilt = DeltaStore.from_record(chain.to_record())
+        rebuilt.cache = None
+        assert rebuilt.times == chain.times
+        for position, contents in enumerate(versions, start=1):
+            assert rebuilt.get_exact(position) == contents
+            assert rebuilt.hash_at(position - 1) == chain.hash_at(
+                position - 1)
+
+    def test_record_without_hashes_recomputes_them(self):
+        versions = self.versions(seed=13, count=12)
+        record = self.uncached(versions).to_record()
+        del record["hashes"]  # a pre-catalog record
+        rebuilt = DeltaStore.from_record(record)
+        for index, contents in enumerate(versions):
+            assert rebuilt.hash_at(index) == content_hash(contents)
+
+    def test_attach_catalog_interns_the_current_version(self):
+        versions = self.versions(seed=17, count=9)
+        chain = self.uncached(versions)
+        rebuilt = DeltaStore.from_record(chain.to_record())
+        rebuilt.cache = None
+        catalog = BlobCatalog()
+        rebuilt.attach_catalog(catalog)
+        assert content_hash(versions[-1]) in catalog
+        for position, contents in enumerate(versions, start=1):
+            assert rebuilt.get_exact(position) == contents
+
+    def test_random_workload_matches_reference(self):
+        rng = random.Random(42)
+        reference: list[tuple[int, bytes]] = [(1, b"seed contents")]
+        chain = DeltaStore(b"seed contents", time=1)
+        chain.cache = None
+        clock = 1
+        for __ in range(120):
+            action = rng.random()
+            if action < 0.5 or len(reference) == 1:
+                clock += rng.randint(1, 3)
+                contents = bytes(rng.getrandbits(8)
+                                 for __ in range(rng.randint(0, 120)))
+                chain.check_in(contents, time=clock)
+                reference.append((clock, contents))
+            elif action < 0.6:
+                # Reload: the history so far becomes the packed part.
+                chain = DeltaStore.from_record(chain.to_record())
+                chain.cache = None
+            else:
+                when, expected = rng.choice(reference)
+                assert chain.get_exact(when) == expected
+        assert chain.times == [when for when, __ in reference]
+        for when, expected in reference:
+            assert chain.get_exact(when) == expected
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +262,6 @@ def test_property_record_round_trip(history):
 # ----------------------------------------------------------------------
 # as-of reads: one walk down a chain equals applying its deltas one at a
 # time, and a delta that applies to the wrong bytes is caught by the hash
-
-CHAINS = {
-    "backward": lambda initial: DeltaStore(initial, time=1),
-    "keyframed": lambda initial: KeyframeDeltaStore(initial, time=1,
-                                                    interval=3),
-}
-
 
 def big_body(seed):
     """130 distinct lines: bodies of two seeds are more than ``_MAX_EDITS``
@@ -230,8 +303,8 @@ def histories(draw):
     return history
 
 
-def build(kind, history):
-    chain = CHAINS[kind](history[0])
+def build(history):
+    chain = DeltaStore(history[0], time=1)
     for time, body in enumerate(history[1:], start=2):
         chain.check_in(body, time=time)
     return chain
@@ -239,43 +312,34 @@ def build(kind, history):
 
 def scripts_of(chain):
     """The stored deltas of a chain built by check-ins alone, by the
-    index of the version each one rebuilds (DeltaStore: from its
-    successor; keyframed: from its predecessor) — mutable, to tamper."""
-    if isinstance(chain, DeltaStore):
-        assert chain._packed is None
-        return chain._tail
-    return chain._forward
+    index of the version each one rebuilds from its successor —
+    mutable, to tamper."""
+    assert chain._packed is None
+    return chain._tail
 
 
 def fold(chain, index):
     """Version ``index`` by one ``apply_differences_bytes`` per delta."""
-    if isinstance(chain, DeltaStore):
-        contents = chain._current
-        for script in reversed(chain.deltas()[index:]):
-            contents = apply_differences_bytes(contents, script)
-        return contents
-    start = index - index % chain._interval
-    contents = chain._keyframes[start]
-    for step in range(start + 1, index + 1):
-        contents = apply_differences_bytes(contents, chain._forward[step])
+    contents = chain._current
+    for script in reversed(chain.deltas()[index:]):
+        contents = apply_differences_bytes(contents, script)
     return contents
 
 
 class TestWalkIsTheFold:
-    @pytest.mark.parametrize("kind", sorted(CHAINS))
     @pytest.mark.parametrize("reload", [None, "record", "record-no-hashes"])
     @given(history=histories())
     @example(history=[b"\x00" * 70, b"\x01" * 70, b"a\n", b"\x02" * 70,
                       b"b\rc\r\n", b""])
     @example(history=[big_body(0), big_body(1), b"", big_body(0)])
     @settings(max_examples=60, deadline=None)
-    def test_every_version_equals_the_fold(self, kind, reload, history):
-        chain = build(kind, history)
+    def test_every_version_equals_the_fold(self, reload, history):
+        chain = build(history)
         if reload is not None:
             record = chain.to_record()
             if reload == "record-no-hashes":
                 del record["hashes"]
-            chain = type(chain).from_record(record)
+            chain = DeltaStore.from_record(record)
         chain.cache = None  # every read walks
         for index, body in enumerate(history):
             assert chain.get(index + 1) == fold(chain, index) == body
@@ -284,11 +348,11 @@ class TestWalkIsTheFold:
 
 class TestCorruptDeltas:
     """Version 1 of ``a b c`` → ``a B c`` → ``a B C`` is rebuilt by one
-    REPLACE of a single line token on either chain kind."""
+    REPLACE of a single line token."""
 
     @staticmethod
-    def chain(kind):
-        chain = build(kind, [b"a\nb\nc\n", b"a\nB\nc\n", b"a\nB\nC\n"])
+    def chain():
+        chain = build([b"a\nb\nc\n", b"a\nB\nc\n", b"a\nB\nC\n"])
         chain.cache = BlockCache(max_bytes=1 << 20)
         return chain
 
@@ -298,16 +362,14 @@ class TestCorruptDeltas:
         script = scripts[1]
         scripts[1] = [replace(script[0], **fields)] + script[1:]
 
-    @pytest.mark.parametrize("kind", sorted(CHAINS))
-    def test_mismatched_removed_tokens_raise_value_error(self, kind):
-        chain = self.chain(kind)
+    def test_mismatched_removed_tokens_raise_value_error(self):
+        chain = self.chain()
         self.tamper(chain, old=(b"not there\n",))
         with pytest.raises(ValueError, match="expected"):
             chain.get(2)
 
-    @pytest.mark.parametrize("kind", sorted(CHAINS))
-    def test_wrong_bytes_raise_and_are_never_cached(self, kind):
-        chain = self.chain(kind)
+    def test_wrong_bytes_raise_and_are_never_cached(self):
+        chain = self.chain()
         self.tamper(chain, new=(b"X\n",))
         wrong = content_hash(fold(chain, 1))  # the fold does not notice
         key = (chain._chain_id, chain.hash_at(1))
@@ -387,7 +449,7 @@ class TestPackedHistory:
     def test_load_decodes_nothing_until_a_read_needs_it(self):
         versions = generate_versions(EditTrace(initial_lines=20,
                                                versions=8, seed=3))
-        chain = build("backward", versions)
+        chain = build(versions)
         loaded = DeltaStore.from_record(chain.to_record())
         loaded.cache = None
         loaded.check_in(b"after the load\n", time=len(versions) + 1)
@@ -404,7 +466,7 @@ class TestPackedHistory:
     def test_legacy_list_form_loads(self):
         versions = generate_versions(EditTrace(initial_lines=20,
                                                versions=8, seed=5))
-        chain = build("backward", versions)
+        chain = build(versions)
         record = decode_value(encode_value(legacy_record(chain)))
         loaded = DeltaStore.from_record(record)
         loaded.cache = None
@@ -413,7 +475,7 @@ class TestPackedHistory:
         assert loaded.to_record() == chain.to_record()
 
     def test_deltas_header_must_match_the_version_count(self):
-        chain = build("backward", [b"a\n", b"b\n", b"c\n"])
+        chain = build([b"a\n", b"b\n", b"c\n"])
         record = chain.to_record()
         record["times"] = record["times"][:-1]
         with pytest.raises(StorageError, match="list of 1 scripts"):
@@ -427,7 +489,7 @@ class TestPackedHistory:
         # walk crosses every delta, cannot be rebuilt.
         versions = [b"a\nb\nc\nd\n", b"a\nB\nc\nd\n", b"a\nB\nc\n",
                     b"x\na\nB\nc\n"]
-        record = build("backward", versions).to_record()
+        record = build(versions).to_record()
         packed = record["deltas"]
         for at in range(5, len(packed)):
             damaged = bytearray(packed)

@@ -1,8 +1,8 @@
 """Catalog ref discipline through the transaction layer.
 
 The invariant under test: one catalog ref per slot that retains a
-payload whole — a chain's current version, each keyframe, a file
-node's contents — no matter how the payload got there (commit, abort,
+payload whole — a chain's current version, a file node's
+contents — no matter how the payload got there (commit, abort,
 rollback, replay from a snapshot).  Dedup means identical contents in
 many slots still store one blob.
 """
@@ -117,22 +117,3 @@ class TestSnapshotRebuild:
         currents = {id(rebuilt.node(index)._archive._current)
                     for index in rebuilt.nodes}
         assert len(currents) == 1
-
-    def test_keyframe_chain_refs_survive_rebuild(self, ham):
-        from repro.storage.deltas import KeyframeDeltaStore
-        node, t = ham.add_node()
-        record = ham.store.node(node)
-        # Swap in a keyframe chain behind the same node (drop-in
-        # backend parity), then write enough versions to take frames.
-        chain = KeyframeDeltaStore(b"", t, interval=3,
-                                   catalog=ham.store.catalog)
-        ham.store.catalog.release(content_hash(b""))  # the replaced chain's ref
-        record._archive = chain
-        for n in range(7):
-            chain.check_in(f"version {n}".encode() * 10, time=t + n + 1)
-        before = ham.store.catalog.stats()
-        rebuilt = GraphStore.from_snapshot(ham.store.to_snapshot())
-        assert rebuilt.catalog.stats() == before
-        rebuilt_chain = rebuilt.node(node)._archive
-        assert isinstance(rebuilt_chain, KeyframeDeltaStore)
-        assert rebuilt_chain.get() == chain.get()
