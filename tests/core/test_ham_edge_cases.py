@@ -201,3 +201,46 @@ class TestFileNodeAsOfReads:
         ham.modify_node(node=node, expected_time=t2, contents=b"b")
         with pytest.raises(VersionError):
             ham.open_node(node, time=t2)
+
+
+class TestEphemeralLog:
+    """A memory-only graph journals into a log that keeps nothing."""
+
+    def test_commits_leave_the_log_empty(self, ham):
+        from repro.tools.stats import wal_stats
+
+        with ham.begin() as txn:
+            node, time = ham.add_node(txn)
+            ham.modify_node(txn, node=node, expected_time=time,
+                            contents=b"kept in memory only\n")
+        assert ham.open_node(node)[0] == b"kept in memory only\n"
+        stats = wal_stats(ham)
+        assert (stats.appends, stats.records, stats.fsyncs) == (0, 0, 0)
+        assert ham.end_lsn == 0
+        status = ham.repl_status()
+        assert status["durable_lsn"] == 0
+        assert status["base_lsn"] == 0
+
+    def test_null_log_accepts_and_forgets(self):
+        from repro.core.ham import _NullLog
+
+        log = _NullLog()
+        assert log.append(object()) == 0
+        assert log.append_many([object(), object()]) == 0
+        assert log.append_raw(b"frame") == 0
+        log.force()
+        assert log.force_up_to(10) is False
+        assert log.durable_end() == 0
+        assert log.read_durable(0) == b""
+        assert list(log.scan()) == []
+
+    def test_null_log_truncate_and_rebase_keep_it_empty(self):
+        from repro.core.ham import _NullLog
+
+        log = _NullLog()
+        log.truncate()
+        log.rebase(4096, epoch=3)
+        assert (log.base_lsn, log.epoch) == (0, 0)
+        assert log.durable_end() == 0
+        assert list(log.scan()) == []
+        log.close()

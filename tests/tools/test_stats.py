@@ -156,3 +156,128 @@ class TestConcurrency:
         assert "snapshot txns (lock-free)" in text
         assert "lock requests bypassed" in text
         assert "commit watermark" in text
+
+
+class TestRenderers:
+    def test_render_server_adds_per_server_rows_only_when_given(self):
+        from repro.tools.stats import render_server
+
+        text = render_server({"accepted": 3, "rejected": 1,
+                              "active_sessions": 2})
+        lines = text.splitlines()
+        assert lines[0].startswith("sessions accepted")
+        assert lines[0].endswith("  3")
+        assert any(line.startswith("active sessions") and
+                   line.endswith("  2") for line in lines)
+        assert "dispatched" not in text
+        assert "workers" not in text
+        # Every row aligns its value column.
+        assert len({line.rindex("  ") for line in lines}) == 1
+
+    def test_render_server_defaults_to_the_process_counters(self):
+        from repro.tools.stats import render_server
+
+        text = render_server()
+        for label in ("sessions accepted", "idle sessions reaped",
+                      "pipelined depth (high water)",
+                      "inbound queue (high water)"):
+            assert label in text
+
+    def test_render_planner_lists_each_plan_shape(self):
+        from repro.tools.stats import render_planner
+
+        text = render_planner({"plans": 5, "shape_index_scan": 3,
+                               "shape_full_scan": 2, "rows_matched": 7})
+        lines = text.splitlines()
+        assert lines[0].split() == ["plans", "5"]
+        assert lines[1].split() == ["shape", "full-scan", "2"]
+        assert lines[2].split() == ["shape", "index-scan", "3"]
+        assert lines[6].split() == ["rows", "matched", "7"]
+        assert "seqlock fallbacks" in text
+
+    def test_render_graph_reports_adjacency_hits(self, two_linked_nodes):
+        from repro.tools.stats import graph_counters, render_graph
+
+        ham, node_a, *__ = two_linked_nodes
+        before = graph_counters()["adjacency_hits"]
+        ham.links_from(node_a)
+        hits = graph_counters()["adjacency_hits"]
+        assert hits > before
+        text = render_graph({"adjacency_hits": hits})
+        assert text.splitlines()[0].endswith(f"  {hits}")
+        assert "column scans (live_*)" in text
+        assert "facade materializations" in text
+
+    def test_render_replication_defaults_to_process_counters(self):
+        from repro.tools.stats import render_replication
+
+        text = render_replication()
+        for label in ("lag bytes (last sample)", "replayed lsn (high water)",
+                      "promotions", "stale reads rejected"):
+            assert label in text
+
+    def test_render_replication_of_a_primary_lists_subscribers(self, ham):
+        from repro.tools.stats import render_replication
+
+        status = ham.repl_status()
+        status["subscribers"] = {"replica-b": 40, "replica-a": 12}
+        text = render_replication(status)
+        assert "role" in text and "primary" in text
+        lines = text.splitlines()
+        assert lines[-2].split() == ["subscriber", "replica-a", "acked", "12"]
+        assert lines[-1].split() == ["subscriber", "replica-b", "acked", "40"]
+        assert "streaming" not in text
+
+    def test_render_replication_of_a_replica_shows_its_stream(self):
+        from repro.tools.stats import render_replication
+
+        text = render_replication({"role": "replica", "replayed_lsn": 90,
+                                   "source_durable_lsn": 100,
+                                   "commits_applied": 4,
+                                   "streaming": False})
+        rows = dict(line.rsplit("  ", 1) for line in text.splitlines())
+        rows = {label.strip(): value for label, value in rows.items()}
+        assert rows["role"] == "replica"
+        assert rows["replayed lsn"] == "90"
+        assert rows["source durable lsn"] == "100"
+        assert rows["commits applied"] == "4"
+        assert rows["streaming"] == "False"
+        assert "subscriber" not in text
+
+    def test_render_subscriptions_defaults_to_process_counters(self):
+        from repro.tools.stats import render_subscriptions
+
+        text = render_subscriptions()
+        for label in ("events fired", "events delivered", "events dropped",
+                      "active subscriptions"):
+            assert label in text
+
+    def test_render_subscriptions_of_one_hub(self, ham):
+        from repro.tools.stats import render_subscriptions
+
+        status = ham.subscription_status()
+        text = render_subscriptions(status)
+        assert "replay ring depth" in text
+        assert "session subscriptions" not in text
+        status.update(session_subscriptions=2, outbuf_bytes=128)
+        lines = render_subscriptions(status).splitlines()
+        assert lines[-2].split() == ["session", "subscriptions", "2"]
+        assert lines[-1].split() == ["outbuf", "bytes", "128"]
+
+    def test_render_wal_of_a_graph_that_committed(self, persistent_graph):
+        from repro.tools.stats import render_wal, wal_stats
+
+        project_id, directory = persistent_graph
+        ham = HAM.open_graph(project_id, directory)
+        try:
+            ham.add_node()
+            stats = wal_stats(ham)
+        finally:
+            ham.close()
+        assert stats.appends >= 1
+        rows = dict(line.rsplit("  ", 1) for line in
+                    render_wal(stats).splitlines())
+        rows = {label.strip(): value for label, value in rows.items()}
+        assert rows["appends (blob writes)"] == str(stats.appends)
+        assert rows["records appended"] == str(stats.records)
+        assert rows["fsyncs per commit"] == f"{stats.fsyncs_per_commit:.3f}"
