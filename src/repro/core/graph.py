@@ -17,9 +17,11 @@ holding:
   encoding, which the live graph's records keep between checkpoints, so
   only the rows commits replaced are encoded again.  Inside a row, a
   delta chain's history is one encoded list (see
-  :meth:`repro.storage.deltas.DeltaStore.to_record`): loading a snapshot
-  keeps it encoded until an as-of read needs it, and re-encoding a
-  loaded chain copies it and encodes only the check-ins made since;
+  :meth:`repro.storage.deltas.DeltaStore.to_record`), held by the chain
+  as encoded pieces that the row passes through by reference: encoding
+  a chain encodes only the check-ins made since it was last encoded,
+  and loading a snapshot keeps the history encoded until an as-of read
+  needs it;
 - ``wal.log`` — the write-ahead log of updates since the last snapshot.
 """
 
@@ -47,6 +49,7 @@ from repro.storage.log import MARK_SUFFIX
 from repro.storage.serializer import (
     decode_value,
     dict_header,
+    encode_parts,
     encode_value,
     gc_paused,
     list_header,
@@ -225,7 +228,10 @@ class GraphStore:
 
         The parts join to exactly ``encode_value(self.to_snapshot())``,
         but each node and link row is its record's own encoding,
-        computed only where the record has none yet.  With
+        computed only where the record has none yet: one part, or
+        several where the row holds a large value or a large piece of
+        chain history, which the row and the record then share (see
+        :func:`~repro.storage.serializer.encode_parts`).  With
         ``keep_rows`` the records keep the encodings they get here, so
         the next call re-encodes only records a commit has since
         replaced (commits publish clones, and clones start without one).
@@ -242,10 +248,13 @@ class GraphStore:
             for record in value:
                 row = record._encoded
                 if row is None:
-                    row = encode_value(record.to_record())
+                    row = encode_parts(record.to_record())
                     if keep_rows:
                         record._encoded = row
-                parts.append(row)
+                if type(row) is bytes:
+                    parts.append(row)
+                else:
+                    parts.extend(row)
         return parts
 
     @classmethod
@@ -376,13 +385,8 @@ class GraphDirectory:
         :meth:`HAM.checkpoint`) passes ``keep_rows``; a store written
         once (a new graph, a replica bootstrap or resync, a dump
         restore) keeps no encodings, which would only hold memory.
-
-        Unlike a load, this does not pause the collector.  When every
-        checkpoint built the whole snapshot dict, pausing skipped the
-        full collections that reclaim the cyclic garbage of the commits
-        between checkpoints (+8 MB peak RSS on ``collab-fanout``); now
-        that a checkpoint allocates only the rows it re-encodes, a pause
-        measures no different in either time or peak RSS.
+        Unlike a load, this does not pause the collector (DESIGN.md,
+        "Value encoding").
         """
         with self._open_heap() as heap:
             record_id = heap.append(*store.encode_snapshot(keep_rows))

@@ -71,6 +71,7 @@ from repro.query.traversal import TraversalResult, linearize_graph
 from repro.storage.deltas import encode_script, script_bytes
 from repro.storage.diff import Difference, diff_bytes
 from repro.storage.log import WalStats, WriteAheadLog
+from repro.testing import faults
 from repro.tools.metrics import PLANNER
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.manager import Transaction, TransactionManager
@@ -733,6 +734,8 @@ class HAM:
         if self._directory is None:
             raise StorageError(
                 "ephemeral graphs cannot be replicated (no durable log)")
+        if faults.INJECTOR is not None:
+            faults.fire("repl.snapshot")
         from repro.storage.cas import strip_snapshot_blobs
         from repro.storage.serializer import encode_value, gc_paused
         with self._state_lock, gc_paused():  # excludes a checkpoint

@@ -53,7 +53,7 @@ class LinkRecord:
                 timeline.append(created_at, pt.position)
                 self._offsets[end] = timeline
         #: Encoded snapshot row (see :attr:`NodeRecord._encoded`).
-        self._encoded: bytes | None = None
+        self._encoded: bytes | tuple | None = None
 
     # ------------------------------------------------------------------
     # existence

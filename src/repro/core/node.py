@@ -73,11 +73,13 @@ class NodeRecord:
         self._file_contents: bytes = b""
         self._file_time: Time = created_at
         self._file_hash: bytes | None = None
-        #: This record's encoded snapshot row, kept by the checkpoint
-        #: (see :meth:`GraphStore.encode_snapshot`).  Valid because a
+        #: This record's encoded snapshot row, kept by the checkpoint:
+        #: one ``bytes``, or a tuple of parts sharing the large values
+        #: and history pieces the record holds (see
+        #: :meth:`GraphStore.encode_snapshot`).  Valid because a
         #: published record is never mutated: commits clone it, and the
         #: plain store's ``node_for_write`` clears it.
-        self._encoded: bytes | None = None
+        self._encoded: bytes | tuple | None = None
         if kind is not NodeKind.ARCHIVE:
             self._file_hash = content_hash(b"")
             if catalog is not None:

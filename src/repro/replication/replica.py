@@ -425,7 +425,9 @@ class Replica:
         """The ``replStatus`` answer while this applier is attached."""
         with self._apply_lock:
             log = self.ham._log
-            alive = self._thread is not None and self._thread.is_alive()
+            streaming = (self._thread is not None
+                         and self._thread.is_alive()
+                         and not self._stop.is_set())
             return {
                 "role": "primary" if self._promoted else "replica",
                 "epoch": self._epoch,
@@ -434,12 +436,14 @@ class Replica:
                 "durable_lsn": log.durable_end(),
                 "replayed_lsn": self.replayed_lsn,
                 "source_durable_lsn": self._source_durable,
-                "lag_bytes": max(0,
-                                 self._source_durable - self.replayed_lsn),
+                # Unknown when stopped: the source is not sampled.
+                "lag_bytes": (max(0, self._source_durable
+                                  - self.replayed_lsn)
+                              if streaming else None),
                 "watermark": self.ham._txns.watermark,
                 "commits_applied": self._commits,
                 "subscriber": self.name,
-                "streaming": alive and not self._stop.is_set(),
+                "streaming": streaming,
                 "failure": (None if self.failure is None
                             else repr(self.failure)),
             }

@@ -19,8 +19,13 @@ Consistency guarantees:
   ``staleness_budget`` bytes is ineligible.  Lag is sampled from
   ``replStatus`` at most every ``status_interval`` seconds, so the
   bound holds at that granularity.  A replica whose sampled status shows
-  its stream stopped serves no further reads: its lag stops growing
-  when its state does.
+  its stream stopped serves no further reads: its lag is unknown
+  (``replStatus`` reports ``lag_bytes`` as ``None``), and its state no
+  longer advances.  An endpoint written off — stream stopped, or
+  transport dead — is sampled again at most every
+  ``status_interval`` seconds (a dead one only once a plain TCP
+  connect to it succeeds), and serves again once it answers
+  streaming.
 - **Wait-or-fail.**  When no replica qualifies, the router polls for up
   to ``ryw_timeout`` seconds, then either falls back to the primary
   (``fallback_to_primary=True``, the default — counted in
@@ -38,6 +43,7 @@ client would.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time as _time
 
@@ -71,8 +77,10 @@ class ReplicaEndpoint:
         #: Cached ``replStatus`` fields (watermarks only ever advance,
         #: so a satisfied cached requirement stays satisfied).
         self.replayed_lsn = 0
-        self.lag_bytes = 0
+        self.lag_bytes: int | None = 0
         self.checked_at = 0.0
+        #: When ``replStatus`` was last asked for, answered or not.
+        self.sampled_at = 0.0
 
     @property
     def serving(self) -> bool:
@@ -83,10 +91,10 @@ class ReplicaEndpoint:
         """Re-sample ``replStatus``; returns False unless still serving.
 
         A replica whose stream stopped answers from a state that no
-        longer advances, and its lag reads as settled because the
-        source's durable end stopped updating with it, so it stops
+        longer advances, with its lag unknown (``None``), so it stops
         serving reads.  A primary's status has no ``streaming`` field.
         """
+        self.sampled_at = _time.monotonic()
         try:
             status = self.client.repl_status()
         except _TRANSPORT_ERRORS:
@@ -94,11 +102,24 @@ class ReplicaEndpoint:
             return False
         self.replayed_lsn = max(self.replayed_lsn,
                                 int(status.get("replayed_lsn", 0)))
-        self.lag_bytes = int(status.get("lag_bytes", 0))
+        lag = status.get("lag_bytes", 0)
+        self.lag_bytes = None if lag is None else int(lag)
         self.checked_at = _time.monotonic()
         self.healthy = True
-        self.streaming = bool(status.get("streaming", True))
+        self.streaming = (bool(status.get("streaming", True))
+                          and lag is not None)
         return self.streaming
+
+    def reachable(self, timeout: float) -> bool:
+        """Whether a TCP connect to the endpoint succeeds: one try, so a
+        replica still down costs a refused connect, not the client's
+        reconnect backoff."""
+        try:
+            socket.create_connection((self.host, self.port),
+                                     timeout=timeout).close()
+        except OSError:
+            return False
+        return True
 
 
 class ReplicatedHAM:
@@ -294,7 +315,17 @@ class ReplicatedHAM:
         """Pick a replica satisfying the session guarantees, else wait,
         else fall back to the primary (or raise)."""
         need = self._primary.last_commit_lsn if self.read_your_writes else 0
-        deadline = _time.monotonic() + self.ryw_timeout
+        now = _time.monotonic()
+        deadline = now + self.ryw_timeout
+        for endpoint in self._readers:
+            # Give a written-off endpoint its chance to come back.
+            if (not endpoint.serving and endpoint.client is not None
+                    and now - endpoint.sampled_at >= self.status_interval):
+                if endpoint.healthy or endpoint.reachable(
+                        self.status_interval):
+                    endpoint.refresh()
+                else:
+                    endpoint.sampled_at = now
         while True:
             candidates = [endpoint for endpoint in self._readers
                           if endpoint.serving and endpoint.client is not None]
@@ -350,6 +381,7 @@ class ReplicatedHAM:
         for endpoint in self._readers:
             if endpoint.client is client:
                 endpoint.healthy = False
+                endpoint.sampled_at = _time.monotonic()
 
     # ------------------------------------------------------------------
     # failover

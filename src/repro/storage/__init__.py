@@ -9,8 +9,8 @@ persist a hypergraph on ordinary files:
   version of a byte string is kept whole, older versions as reverse deltas.
 - :mod:`repro.storage.serializer` — compact, checksummed binary record
   encoding used by the heap and the write-ahead log.
-- :mod:`repro.storage.pager` — fixed-size page file with an in-memory cache.
-- :mod:`repro.storage.heap` — variable-length record heap built on the pager.
+- :mod:`repro.storage.heap` — append-oriented record heap, written and read
+  with positional file I/O.
 - :mod:`repro.storage.log` — append-only write-ahead log with force-at-commit
   semantics and a recovery scanner.
 """
@@ -35,8 +35,7 @@ from repro.storage.serializer import (
     encode_value,
     decode_value,
 )
-from repro.storage.pager import Pager, PAGE_SIZE
-from repro.storage.heap import RecordHeap, RecordId
+from repro.storage.heap import RecordHeap, RecordId, PAGE_SIZE
 from repro.storage.log import WriteAheadLog, LogRecord, LogRecordKind
 
 __all__ = [
@@ -57,10 +56,9 @@ __all__ = [
     "unpack_record",
     "encode_value",
     "decode_value",
-    "Pager",
-    "PAGE_SIZE",
     "RecordHeap",
     "RecordId",
+    "PAGE_SIZE",
     "WriteAheadLog",
     "LogRecord",
     "LogRecordKind",

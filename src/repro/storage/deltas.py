@@ -18,11 +18,12 @@ difference script against its successor, so:
 - replaying a journaled check-in costs no diff at all: the redo log
   carries the forward script, and :meth:`DeltaStore.check_in_script`
   applies it to the current version under a base- and result-hash check;
-- loading a chain from a snapshot decodes none of its history: the
-  record carries the deltas as one encoded list, which the chain keeps
-  packed until a read walks into it, and re-encoding that chain at the
-  next checkpoint copies those bytes and encodes only the deltas checked
-  in since.
+- history is encoded once: a checkpoint encodes the deltas checked in
+  since the previous one and appends them to the chain's packed history
+  (see :meth:`DeltaStore.to_record`), a tuple of encoded pieces that the
+  chain's snapshot row holds by reference; loading a chain from a
+  snapshot decodes none of its history either, and a read decodes only
+  the pieces its walk crosses.
 
 Two layers ride on top of the chains (see :mod:`repro.storage.cas` and
 :mod:`repro.storage.blockcache`):
@@ -57,7 +58,13 @@ from repro.storage.diff import (
     diff_bytes,
     invert_differences,
 )
-from repro.storage.serializer import decode_value, encode_value, list_header
+from repro.storage.serializer import (
+    LARGE_BYTES,
+    Pieces,
+    decode_value,
+    encode_items,
+    list_header,
+)
 
 __all__ = ["DeltaStore", "DeltaChainStats", "encode_script",
            "decode_script", "script_bytes"]
@@ -121,41 +128,46 @@ def script_bytes(script: list[Difference]) -> int:
     )
 
 
-class _PackedDeltas:
-    """A chain's loaded backward deltas, kept encoded until a read needs one.
+class _Piece:
+    """Consecutive backward deltas, kept encoded until a read needs one.
 
-    ``data`` is exactly ``encode_value([encoded script, ...])`` for the
-    oldest ``count`` deltas — the ``"deltas"`` field of the record the
-    chain was loaded from.  The first read into them decodes the whole
-    list once and keeps the result.  Both are immutable afterwards, so a
-    chain and its clones share one instance.
+    ``data`` is the encodings of deltas ``start`` to ``start + count - 1``
+    back to back — an encoded list of them less its header — and never
+    changes.  The first read into them decodes them all once and keeps
+    the result, so a chain, its clones and later folds share one
+    instance.
     """
 
-    __slots__ = ("data", "count", "_scripts")
+    __slots__ = ("data", "start", "count", "_scripts")
 
-    def __init__(self, data: bytes, count: int):
+    def __init__(self, data, start: int, count: int):
         self.data = data
+        self.start = start
         self.count = count
         self._scripts: list[list[Difference]] | None = None
 
     def scripts(self) -> list[list[Difference]]:
         """The decoded deltas, oldest first.
 
-        The bytes reach here from disk or the wire, past the record
+        The bytes may reach here from disk or the wire, past the record
         checksums, so scripts that do not decode raise
-        :class:`StorageError`.  (The list header, and so ``count``, was
-        checked when the chain was loaded.)
+        :class:`StorageError`.
         """
         scripts = self._scripts
         if scripts is None:
             try:
-                scripts = [_decode_script(script)
-                           for script in decode_value(self.data)]
+                scripts = [_decode_script(script) for script in decode_value(
+                    b"".join((list_header(self.count), self.data)))]
             except (ValueError, TypeError, RecursionError) as exc:
                 raise StorageError(
                     f"packed deltas do not decode: {exc}") from None
             self._scripts = scripts  # a racing decode stores an equal list
         return scripts
+
+
+def _packed_count(pieces: tuple) -> int:
+    """Deltas held by ``pieces``."""
+    return pieces[-1].start + pieces[-1].count if pieces else 0
 
 
 class _CachedChain:
@@ -234,12 +246,17 @@ class DeltaStore(_CachedChain):
     returns the version in effect at time ``t`` (the latest version whose
     check-in time is <= ``t``).
 
-    The deltas live in two runs.  A chain loaded from a record keeps the
-    record's deltas as a packed prefix (:class:`_PackedDeltas`), decoded
-    the first time a read needs a version inside it; every check-in
-    since — replayed from the log, applied by a replica, or committed
-    live — appends its decoded delta to the tail.  A chain built by
-    check-ins alone has no prefix.
+    The deltas live in two runs, held together in ``_history`` as one
+    ``(pieces, tail)`` pair.  The pieces (:class:`_Piece`) are the
+    packed history: the deltas a snapshot load or a checkpoint found,
+    encoded, each piece decoded the first time a read needs a version
+    inside it.  Every check-in since — replayed from the log, applied
+    by a replica, or committed live — appends its decoded delta to the
+    tail.  A checkpoint folds the tail into the pieces by assigning a
+    new pair, so a lock-free reader that took the pair before sees the
+    deltas it took.  A published chain is otherwise never changed
+    (commits check in on clones), and a fold must not race a check-in
+    on the same chain.
     """
 
     def __init__(self, initial: bytes, time: int, catalog=None):
@@ -255,13 +272,12 @@ class DeltaStore(_CachedChain):
         #: _hashes[i] is the content hash of version i — the cache key
         #: component, and the catalog key while version i is current.
         self._hashes: list[bytes] = [digest]
-        #: The oldest deltas, still encoded as loaded; None when the
-        #: chain was not loaded from a record (or its record had none).
-        self._packed: _PackedDeltas | None = None
         # Delta i transforms version i+1 back into version i (both
-        # indices into _times).  _tail[j] is delta (packed count) + j;
-        # the two runs together hold len(_times) - 1 deltas.
-        self._tail: list[list[Difference]] = []
+        # indices into _times).  The pieces hold deltas 0 to P - 1 and
+        # tail[j] is delta P + j; the two runs together hold
+        # len(_times) - 1 deltas.
+        self._history: tuple[tuple[_Piece, ...],
+                             list[list[Difference]]] = ((), [])
         self._chain_id = next(_CHAIN_IDS)
         self._cache = _PROCESS_CACHE
 
@@ -324,7 +340,7 @@ class DeltaStore(_CachedChain):
         previous_digest = self._hashes[-1]
         if self._catalog is not None:
             contents, digest = self._catalog.intern(contents, digest)
-        self._tail.append(invert_differences(forward))
+        self._history[1].append(invert_differences(forward))
         self._times.append(time)
         self._hashes.append(digest)
         self._current = contents
@@ -377,30 +393,39 @@ class DeltaStore(_CachedChain):
         """Every stored backward delta, oldest first.
 
         Delta ``i`` turns version ``i + 1`` back into version ``i``.
-        Decodes a packed prefix (once; see :class:`_PackedDeltas`).
+        Decodes the packed history (once; see :class:`_Piece`).
         """
-        if self._packed is None:
-            return list(self._tail)
-        return self._packed.scripts() + self._tail
+        pieces, tail = self._history
+        scripts: list[list[Difference]] = []
+        for piece in pieces:
+            scripts.extend(piece.scripts())
+        scripts.extend(tail)
+        return scripts
 
     def _walk(self, index: int) -> bytes:
         """Version ``index``: the backward deltas from the current one.
 
-        A version at or past the packed prefix needs only the tail.  An
-        older one decodes the prefix; since its bytes came from disk or
-        the wire, a delta there that fails to apply raises
-        :class:`StorageError` (a wrong result that applies is caught by
-        the hash check in :meth:`_materialize`).
+        A version at or past the packed history needs only the tail.  An
+        older one decodes the pieces the walk crosses; since their bytes
+        came from disk or the wire, a delta there that fails to apply
+        raises :class:`StorageError` (a wrong result that applies is
+        caught by the hash check in :meth:`_materialize`).
         """
-        packed = self._packed
-        start = 0 if packed is None else packed.count
+        pieces, tail = self._history
+        start = _packed_count(pieces)
         if index >= start:
             return apply_scripts_bytes(self._current,
-                                       reversed(self._tail[index - start:]))
-        scripts = itertools.chain(reversed(self._tail),
-                                  reversed(packed.scripts()[index:]))
+                                       reversed(tail[index - start:]))
+        runs = [reversed(tail)]
+        for piece in reversed(pieces):
+            scripts = piece.scripts()
+            if piece.start <= index:
+                runs.append(reversed(scripts[index - piece.start:]))
+                break
+            runs.append(reversed(scripts))
         try:
-            return apply_scripts_bytes(self._current, scripts)
+            return apply_scripts_bytes(self._current,
+                                       itertools.chain.from_iterable(runs))
         except (ValueError, TypeError, AttributeError) as exc:
             raise StorageError(
                 f"version {index} (time {self._times[index]}) does not "
@@ -409,8 +434,8 @@ class DeltaStore(_CachedChain):
     def clone(self) -> "DeltaStore":
         """Independent copy sharing the version payloads.
 
-        ``_current`` is immutable ``bytes``, the packed prefix is
-        immutable once decoded, and the stored delta scripts are never
+        ``_current`` is immutable ``bytes``, the pieces are immutable
+        once decoded, and the stored delta scripts are never
         mutated after check-in, so only the list spines need copying —
         the clone and the original can then diverge freely
         (copy-on-write transaction overlays rely on this).  Catalog refs
@@ -422,8 +447,8 @@ class DeltaStore(_CachedChain):
         copy._current = self._current
         copy._times = list(self._times)
         copy._hashes = list(self._hashes)
-        copy._packed = self._packed
-        copy._tail = list(self._tail)
+        pieces, tail = self._history
+        copy._history = (pieces, list(tail))
         copy._catalog = self._catalog
         copy._chain_id = self._chain_id
         copy._cache = self._cache
@@ -462,26 +487,18 @@ class DeltaStore(_CachedChain):
         )
 
     def to_record(self) -> dict:
-        """Encodable snapshot of the whole chain (for the record heap).
+        """Encodable snapshot of the whole chain, folding it first.
 
-        ``"deltas"`` is one ``bytes`` value: exactly
-        ``encode_value([encoded script, ...])`` of every delta, oldest
-        first, so a snapshot decoder reads it as one slice.  A packed
-        prefix is spliced in as it was loaded — a new list header, its
-        items, then the encoded tail — so re-encoding a loaded chain
-        costs a copy plus the deltas checked in since.
+        ``"deltas"`` is one ``bytes`` value, held as :class:`Pieces`:
+        exactly ``encode_value([encoded script, ...])`` of every delta,
+        oldest first, so a snapshot decoder reads it as one slice.  The
+        parts are a list header and the chain's pieces, by reference,
+        after :meth:`_fold` has encoded the tail into them — so encoding
+        a chain costs the deltas checked in since it was last encoded.
         """
-        tail = encode_value([_encode_script(s) for s in self._tail])
-        packed = self._packed
-        if packed is None:
-            deltas = tail
-        elif not self._tail:
-            deltas = packed.data
-        else:
-            deltas = b"".join([
-                list_header(packed.count + len(self._tail)),
-                memoryview(packed.data)[_LIST_HEADER:],
-                memoryview(tail)[_LIST_HEADER:]])
+        pieces = self._fold()
+        deltas = Pieces((list_header(_packed_count(pieces)),
+                         *(piece.data for piece in pieces)))
         return {
             "current": self._current,
             "times": list(self._times),
@@ -489,12 +506,36 @@ class DeltaStore(_CachedChain):
             "deltas": deltas,
         }
 
+    def _fold(self) -> tuple[_Piece, ...]:
+        """Encode the tail into the packed history; returns the pieces.
+
+        The encoded tail becomes a new last piece; while the last piece
+        is smaller than :data:`LARGE_BYTES` the tail joins it instead,
+        so a chain holds at most one small piece, and a piece is never
+        copied once it is large.  The decoded tail is dropped: a read
+        decodes the piece again if it walks that far back.
+        """
+        pieces, tail = self._history
+        if not tail:
+            return pieces
+        encoded = encode_items([_encode_script(script) for script in tail])
+        start = _packed_count(pieces)
+        if pieces and len(pieces[-1].data) < LARGE_BYTES:
+            last = pieces[-1]
+            pieces = pieces[:-1] + (_Piece(
+                b"".join((last.data, encoded)), last.start,
+                last.count + len(tail)),)
+        else:
+            pieces = pieces + (_Piece(encoded, start, len(tail)),)
+        self._history = (pieces, [])
+        return pieces
+
     @classmethod
     def from_record(cls, record: dict) -> "DeltaStore":
         """Rebuild a chain from :meth:`to_record` output.
 
-        The deltas stay packed (see :class:`_PackedDeltas`); only their
-        list header is checked here, against the version count.  A
+        The deltas stay packed as one piece (see :class:`_Piece`); only
+        their list header is checked here, against the version count.  A
         record written before the packed form carries ``"deltas"`` as a
         list of encoded scripts, decoded here into the tail.  Records
         written before content addressing carry no ``hashes``; they are
@@ -505,17 +546,19 @@ class DeltaStore(_CachedChain):
         store._times = list(record["times"])
         count = len(store._times) - 1
         deltas = record["deltas"]
-        store._packed = None
         if isinstance(deltas, list):
-            store._tail = [_decode_script(s) for s in deltas]
+            store._history = ((), [_decode_script(s) for s in deltas])
         else:
+            deltas = bytes(deltas)
             if deltas[:_LIST_HEADER] != list_header(count):
                 raise StorageError(
                     f"chain record's deltas do not open a list of "
                     f"{count} scripts")
-            store._tail = []
+            pieces = ()
             if count:
-                store._packed = _PackedDeltas(deltas, count)
+                pieces = (_Piece(memoryview(deltas)[_LIST_HEADER:], 0,
+                                 count),)
+            store._history = (pieces, [])
         store._catalog = None
         store._chain_id = next(_CHAIN_IDS)
         store._cache = _PROCESS_CACHE

@@ -37,6 +37,13 @@ decoder does not bounds-check fixed-width fields one by one:
 ``UnicodeDecodeError`` a short or malformed input raises into
 :class:`repro.errors.StorageError` at one place.
 
+A ``bytes`` value may be held as :class:`Pieces`, the parts it joins
+to; it encodes exactly as the joined bytes.  :func:`encode_parts`
+encodes a value as a list of parts instead of one string, passing each
+``bytes`` value and each :class:`Pieces` part of at least
+:data:`LARGE_BYTES` through by reference: a snapshot row then shares a
+delta chain's encoded history instead of copying it.
+
 Loading a whole snapshot allocates hundreds of thousands of objects that
 all survive; :func:`gc_paused` keeps the cyclic collector from
 re-walking them while they are built.
@@ -52,8 +59,9 @@ import zlib
 
 from repro.errors import ChecksumError, StorageError
 
-__all__ = ["encode_value", "decode_value", "pack_record", "unpack_record",
-           "list_header", "dict_header", "gc_paused", "RECORD_HEADER"]
+__all__ = ["encode_value", "encode_items", "encode_parts", "decode_value",
+           "pack_record", "unpack_record", "list_header", "dict_header",
+           "gc_paused", "Pieces", "LARGE_BYTES", "RECORD_HEADER"]
 
 #: Record framing header: payload length (u32) then CRC32 of payload (u32).
 RECORD_HEADER = struct.Struct("<II")
@@ -68,6 +76,32 @@ _F64 = struct.Struct("<d")
 #: Pre-encoded ``0 <= n < 256``: a third of a snapshot's ints.
 _SMALL_INTS = tuple(_pack_header(_TAG_INT, 1) + bytes((n,))
                     for n in range(256))
+
+#: Bytes from which :func:`encode_parts` passes a value through by
+#: reference rather than copying it into the encoding around it.
+LARGE_BYTES = 16 * 1024
+
+
+class Pieces:
+    """A ``bytes`` value held as the parts it joins to, never joined here.
+
+    Encodes exactly as ``bytes(self)`` and compares equal to it.  The
+    parts (``bytes`` or byte ``memoryview`` objects) must not change.
+    """
+
+    __slots__ = ("parts", "length")
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self.length = sum(len(part) for part in self.parts)
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Pieces, bytes, bytearray, memoryview)):
+            return bytes(self) == bytes(other)
+        return NotImplemented
 
 
 def _encode_int(value: int, out: bytearray) -> None:
@@ -107,6 +141,10 @@ def _encode_into(value: object, out: bytearray) -> None:
     elif kind is bytes:
         out += _pack_header(_TAG_BYTES, len(value))
         out += value
+    elif kind is Pieces:
+        out += _pack_header(_TAG_BYTES, value.length)
+        for part in value.parts:
+            out += part
     elif isinstance(value, int):
         _encode_int(value, out)
     elif isinstance(value, float):
@@ -147,6 +185,63 @@ def encode_value(value: object) -> bytes:
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
+
+
+def encode_items(values) -> bytes:
+    """The encodings of ``values`` back to back: an encoded list less
+    its :func:`list_header`."""
+    out = bytearray()
+    for value in values:
+        _encode_into(value, out)
+    return bytes(out)
+
+
+def encode_parts(value: object) -> bytes | tuple:
+    """:func:`encode_value` of ``value``, as parts that join to it.
+
+    Every ``bytes`` value, and every :class:`Pieces` part, of at least
+    :data:`LARGE_BYTES` inside ``value`` or the dicts nested in it is
+    a part of its own, the very object ``value`` holds; the bytes
+    between them are copied into parts of their own.  Returns one
+    ``bytes`` when ``value`` holds nothing that large, else a tuple.
+    """
+    out = bytearray()
+    parts: list = []
+    _encode_parts_into(value, out, parts)
+    if not parts:
+        return bytes(out)
+    if out:
+        parts.append(bytes(out))
+    return tuple(parts)
+
+
+def _encode_parts_into(value: object, out: bytearray, parts: list) -> None:
+    kind = type(value)
+    if kind is dict:
+        out += _pack_header(_TAG_DICT, len(value))
+        for key, item in value.items():
+            _encode_into(key, out)
+            _encode_parts_into(item, out, parts)
+    elif kind is bytes and len(value) >= LARGE_BYTES:
+        out += _pack_header(_TAG_BYTES, len(value))
+        _pass_through(value, out, parts)
+    elif kind is Pieces:
+        out += _pack_header(_TAG_BYTES, value.length)
+        for part in value.parts:
+            if len(part) >= LARGE_BYTES:
+                _pass_through(part, out, parts)
+            else:
+                out += part
+    else:
+        _encode_into(value, out)
+
+
+def _pass_through(part, out: bytearray, parts: list) -> None:
+    """Close the copied run in ``out`` and append ``part`` after it."""
+    if out:
+        parts.append(bytes(out))
+        out.clear()
+    parts.append(part)
 
 
 def list_header(count: int) -> bytes:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time as _time
 from dataclasses import dataclass
 
 from repro.core.ham import HAM
@@ -556,7 +557,8 @@ def run_subscription_case(directory, point: str = "sub.deliver",
 
 
 FAILOVER_SCENARIOS = ("primary-kill", "replica-kill", "torn-frames",
-                      "bitflip-frames", "promote-during-replay")
+                      "bitflip-frames", "promote-during-replay",
+                      "resync-snapshot-raise")
 
 
 @dataclass
@@ -595,7 +597,6 @@ def _staged_failover_commit(ham, oracle: CommitOracle, node: int,
 
 def _await_replayed(replica, target_lsn: int, timeout: float = 15.0) -> None:
     """Block until ``replica`` has replayed past ``target_lsn``."""
-    import time as _time
     deadline = _time.monotonic() + timeout
     while replica.replayed_lsn < target_lsn:
         if _time.monotonic() > deadline:
@@ -604,6 +605,28 @@ def _await_replayed(replica, target_lsn: int, timeout: float = 15.0) -> None:
                 f"{replica.replayed_lsn} < {target_lsn} "
                 f"(failure: {replica.failure!r})")
         _time.sleep(0.02)
+
+
+def _await_fired(injector, what: str, timeout: float = 15.0) -> None:
+    """Block until the planned fault fired; assert that it did."""
+    deadline = _time.monotonic() + timeout
+    while not injector.fired and _time.monotonic() < deadline:
+        _time.sleep(0.02)
+    assert injector.fired, f"{what} never triggered"
+
+
+def _converged(replica, source: HAM, oracle: CommitOracle, scenario: str,
+               seed: int, what: str) -> "FailoverCaseResult":
+    """Await ``replica`` catching up with ``source``, assert the failover
+    contract on it, and report the cell."""
+    from repro.tools.verify import compare_graphs, fingerprint
+    _await_replayed(replica, source._log.durable_end())
+    verify_invariants(replica.ham, oracle)
+    mismatch = compare_graphs(source, replica.ham)
+    assert not mismatch, f"{what}: {mismatch}"
+    return FailoverCaseResult(
+        scenario=scenario, seed=seed, fired=True,
+        acknowledged=len(oracle.committed), fingerprint=fingerprint(source))
 
 
 def run_failover_case(directory, scenario: str = "primary-kill",
@@ -633,10 +656,11 @@ def run_failover_case(directory, scenario: str = "primary-kill",
       are still streaming; acknowledged commits must all be present on
       the promoted graph and it must serve as a valid source for a
       fresh replica.
+    - ``resync-snapshot-raise``: the primary checkpoints, so it answers
+      the replica's next fetch with ``resync``, and the ``repl.snapshot``
+      fault then raises from the ``repl_snapshot`` call that follows;
+      the replica must retry the resync and converge.
     """
-    from repro.replication.replica import Replica
-    from repro.tools.verify import compare_graphs, fingerprint
-
     if scenario not in FAILOVER_SCENARIOS:
         raise ValueError(f"unknown failover scenario {scenario!r}")
     base = os.fspath(directory)
@@ -659,6 +683,9 @@ def run_failover_case(directory, scenario: str = "primary-kill",
         action = "truncate" if scenario == "torn-frames" else "bitflip"
         return _failover_corrupt_frames(base, ham, oracle, node, attr,
                                         seed, commits, scenario, action)
+    if scenario == "resync-snapshot-raise":
+        return _failover_resync_snapshot_raise(base, ham, oracle, node,
+                                               attr, seed, commits)
     return _failover_promote_during_replay(base, ham, hub, oracle, node,
                                            attr, seed, commits)
 
@@ -666,7 +693,6 @@ def run_failover_case(directory, scenario: str = "primary-kill",
 def _failover_primary_kill(base, ham, hub, oracle, node, attr, seed,
                            commits) -> FailoverCaseResult:
     from repro.replication.replica import Replica
-    from repro.tools.verify import compare_graphs, fingerprint
     rep_a = Replica(ham, os.path.join(base, "replica-a"), name="a",
                     poll_wait=0.5)
     rep_b = Replica(ham, os.path.join(base, "replica-b"), name="b",
@@ -706,14 +732,8 @@ def _failover_primary_kill(base, ham, hub, oracle, node, attr, seed,
         for step in range(commits + 10, commits + 13):
             _staged_failover_commit(promoted.ham, oracle, node, attr,
                                     seed, step)
-        _await_replayed(survivor, promoted.ham._log.durable_end())
-        verify_invariants(survivor.ham, oracle)
-        mismatch = compare_graphs(promoted.ham, survivor.ham)
-        assert not mismatch, f"divergence after failover: {mismatch}"
-        digest = fingerprint(promoted.ham)
-        return FailoverCaseResult(
-            scenario="primary-kill", seed=seed, fired=True,
-            acknowledged=len(oracle.committed), fingerprint=digest)
+        return _converged(survivor, promoted.ham, oracle, "primary-kill",
+                          seed, "divergence after failover")
     finally:
         for rep in (rep_a, rep_b):
             try:
@@ -725,7 +745,6 @@ def _failover_primary_kill(base, ham, hub, oracle, node, attr, seed,
 def _failover_replica_kill(base, ham, oracle, node, attr, seed,
                            commits) -> FailoverCaseResult:
     from repro.replication.replica import Replica
-    from repro.tools.verify import compare_graphs, fingerprint
     # Commit the workload first, then arm the fault and let a fresh
     # replica replay into it: a crash fault is sticky process-wide, so
     # arming it while the primary still commits would kill the writer
@@ -739,11 +758,7 @@ def _failover_replica_kill(base, ham, oracle, node, attr, seed,
     try:
         rep = Replica(ham, os.path.join(base, "replica-a"), name="a",
                       poll_wait=0.05)
-        import time as _time
-        end = _time.monotonic() + 15.0
-        while not injector.fired and _time.monotonic() < end:
-            _time.sleep(0.02)
-        assert injector.fired, "repl.apply fault never triggered"
+        _await_fired(injector, "repl.apply fault")
         rep._thread.join(timeout=10.0)
         assert isinstance(rep.failure, faults.SimulatedCrash), (
             f"expected the apply loop to die on SimulatedCrash, "
@@ -761,24 +776,17 @@ def _failover_replica_kill(base, ham, oracle, node, attr, seed,
     restarted = Replica(ham, os.path.join(base, "replica-a"), name="a2",
                         poll_wait=0.05)
     try:
-        _await_replayed(restarted, ham._log.durable_end())
-        verify_invariants(restarted.ham, oracle)
-        mismatch = compare_graphs(ham, restarted.ham)
-        assert not mismatch, f"replica diverged after restart: {mismatch}"
-        digest = fingerprint(ham)
+        return _converged(restarted, ham, oracle, "replica-kill", seed,
+                          "replica diverged after restart")
     finally:
         restarted.close()
         ham.close()
-    return FailoverCaseResult(
-        scenario="replica-kill", seed=seed, fired=True,
-        acknowledged=len(oracle.committed), fingerprint=digest)
 
 
 def _failover_corrupt_frames(base, ham, oracle, node, attr, seed,
                              commits, scenario, action,
                              ) -> FailoverCaseResult:
     from repro.replication.replica import Replica
-    from repro.tools.verify import compare_graphs, fingerprint
     injector = faults.install(faults.FaultPlan(
         specs=(faults.FaultSpec("repl.fetch", action, hit=1),),
         seed=seed))
@@ -789,19 +797,11 @@ def _failover_corrupt_frames(base, ham, oracle, node, attr, seed,
             for step in range(commits):
                 _staged_failover_commit(ham, oracle, node, attr, seed,
                                         step)
-            import time as _time
-            end = _time.monotonic() + 15.0
-            while not injector.fired and _time.monotonic() < end:
-                _time.sleep(0.02)
-            assert injector.fired, f"repl.fetch {action} never triggered"
+            _await_fired(injector, f"repl.fetch {action}")
         finally:
             faults.uninstall()
-        _await_replayed(rep, ham._log.durable_end())
-        verify_invariants(rep.ham, oracle)
-        mismatch = compare_graphs(ham, rep.ham)
-        assert not mismatch, (
-            f"replica diverged after {scenario}: {mismatch}")
-        digest = fingerprint(ham)
+        return _converged(rep, ham, oracle, scenario, seed,
+                          f"replica diverged after {scenario}")
     finally:
         faults.uninstall()
         try:
@@ -809,16 +809,42 @@ def _failover_corrupt_frames(base, ham, oracle, node, attr, seed,
         except (NeptuneError, UnboundLocalError):
             pass
         ham.close()
-    return FailoverCaseResult(
-        scenario=scenario, seed=seed, fired=True,
-        acknowledged=len(oracle.committed), fingerprint=digest)
+
+
+def _failover_resync_snapshot_raise(base, ham, oracle, node, attr, seed,
+                                    commits) -> FailoverCaseResult:
+    from repro.replication.replica import Replica
+    rep = Replica(ham, os.path.join(base, "replica-a"), name="a",
+                  poll_wait=0.05, retry_interval=0.05)
+    try:
+        for step in range(commits // 2):
+            _staged_failover_commit(ham, oracle, node, attr, seed, step)
+        _await_replayed(rep, ham._log.durable_end())
+        # Armed after the bootstrap, whose own repl_snapshot it would
+        # otherwise hit.
+        injector = faults.install(faults.FaultPlan(
+            specs=(faults.FaultSpec("repl.snapshot", "raise", hit=1),),
+            seed=seed))
+        try:
+            ham.checkpoint()  # a new epoch: the next fetch says resync
+            for step in range(commits // 2, commits):
+                _staged_failover_commit(ham, oracle, node, attr, seed,
+                                        step)
+            _await_fired(injector, "repl.snapshot fault")
+        finally:
+            faults.uninstall()
+        return _converged(rep, ham, oracle, "resync-snapshot-raise", seed,
+                          "replica diverged after a failed resync")
+    finally:
+        faults.uninstall()
+        rep.close()
+        ham.close()
 
 
 def _failover_promote_during_replay(base, ham, hub, oracle, node, attr,
                                     seed, commits) -> FailoverCaseResult:
     from repro.errors import ReplicaLagError
     from repro.replication.replica import Replica
-    from repro.tools.verify import compare_graphs, fingerprint
     rep = Replica(ham, os.path.join(base, "replica-a"), name="a",
                   poll_wait=0.05)
     hub.min_sync = 1
@@ -839,7 +865,6 @@ def _failover_promote_during_replay(base, ham, hub, oracle, node, attr,
 
     thread = threading.Thread(target=writer, daemon=True)
     thread.start()
-    import time as _time
     end = _time.monotonic() + 15.0
     while (len(oracle.committed) < max(2, commits // 2)
            and thread.is_alive() and _time.monotonic() < end):
@@ -859,19 +884,13 @@ def _failover_promote_during_replay(base, ham, hub, oracle, node, attr,
         fresh = Replica(rep.ham, os.path.join(base, "replica-b"),
                         name="b", poll_wait=0.05)
         try:
-            _await_replayed(fresh, rep.ham._log.durable_end())
-            verify_invariants(fresh.ham, oracle)
-            mismatch = compare_graphs(rep.ham, fresh.ham)
-            assert not mismatch, (
-                f"post-promotion divergence: {mismatch}")
-            digest = fingerprint(rep.ham)
+            return _converged(fresh, rep.ham, oracle,
+                              "promote-during-replay", seed,
+                              "post-promotion divergence")
         finally:
             fresh.close()
     finally:
         rep.close()
-    return FailoverCaseResult(
-        scenario="promote-during-replay", seed=seed, fired=True,
-        acknowledged=len(oracle.committed), fingerprint=digest)
 
 
 # ======================================================================

@@ -3,7 +3,7 @@
 The paper's HAM promises "complete recovery from any aborted
 transaction" (§2.2); that promise is only as good as the failure paths
 nobody exercises.  This module provides *named injection points* woven
-through the WAL, pager, heap, and server, each of which can be told —
+through the WAL, heap, server, and replication, each of which can be told —
 via a seeded, replayable :class:`FaultPlan` — to fail in one of four
 ways on its N-th traversal:
 
@@ -27,9 +27,11 @@ Injection points
 ``wal.append.post-fsync``  after the write, before any fsync covers it
 ``wal.commit.force``       before the commit-time fsync (corruption is
                            confined to the not-yet-forced region)
-``pager.write``            before a dirty page writes through
 ``heap.write``             before a heap record's bytes are placed
                            (handed over as its framed ``parts``)
+``heap.pwrite``            before each positional write into the heap
+                           file — a record's buffers, up to 1 024 per
+                           write, or the header — as its ``parts``
 ``server.send``            before a response frame is sent
 ``server.recv``            before a request frame is read
 ``server.dispatch``        in a worker, before an admitted (possibly
@@ -40,6 +42,9 @@ Injection points
                            publishes into the in-memory store
 ``repl.ship``              on the primary, before durable log bytes are
                            served to a replication subscriber
+``repl.snapshot``          on the primary, before it builds a
+                           ``replSnapshot`` reply (a bootstrap or a
+                           replica's resync)
 ``repl.fetch``             on a replica, when a fetched chunk arrives —
                            corruption actions tear or bit-flip the
                            in-flight chunk (the replica must survive)
@@ -90,14 +95,15 @@ POINTS = (
     "wal.append.pre-fsync",
     "wal.append.post-fsync",
     "wal.commit.force",
-    "pager.write",
     "heap.write",
+    "heap.pwrite",
     "server.send",
     "server.recv",
     "server.dispatch",
     "session.dispatch",
     "txn.apply",
     "repl.ship",
+    "repl.snapshot",
     "repl.fetch",
     "repl.apply",
     "sub.deliver",

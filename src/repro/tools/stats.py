@@ -359,7 +359,8 @@ def render_replication(status: dict | None = None) -> str:
     """Human-readable replication report.
 
     Renders the process-wide counters by default; pass one node's
-    ``replStatus`` dict (primary or replica) to report on it alone.
+    ``replStatus`` dict (primary or replica) to report on it alone.  A
+    replica that is not streaming reports its lag as unknown.
     """
     if status is None:
         counters = replication_counters()
@@ -372,6 +373,7 @@ def render_replication(status: dict | None = None) -> str:
             ("stale reads rejected", counters.get("stale_rejects", 0)),
         ]
     else:
+        lag = status.get("lag_bytes", 0)
         rows = [
             ("role", status.get("role", "?")),
             ("epoch", status.get("epoch", 0)),
@@ -379,7 +381,7 @@ def render_replication(status: dict | None = None) -> str:
             ("end lsn", status.get("end_lsn", 0)),
             ("durable lsn", status.get("durable_lsn", 0)),
             ("replayed lsn", status.get("replayed_lsn", 0)),
-            ("lag bytes", status.get("lag_bytes", 0)),
+            ("lag bytes", "unknown" if lag is None else lag),
             ("commit watermark", status.get("watermark", 0)),
         ]
         if status.get("role") == "replica":

@@ -27,7 +27,7 @@ from repro.core.types import LinkPt, Protections
 from repro.errors import NeptuneError
 from repro.replication.replica import Replica
 from repro.storage.deltas import DeltaStore, encode_script
-from repro.storage.serializer import encode_value
+from repro.storage.serializer import LARGE_BYTES, encode_value
 from repro.tools.verify import fingerprint
 from repro.txn.recovery import replay_log
 
@@ -36,9 +36,18 @@ SEEDS = [0, 1, 2, 3, 4, 5]
 _EVENTS = [EventKind.ADD_NODE, EventKind.DELETE_NODE, EventKind.ADD_LINK]
 
 
-def _one_op(ham, rng, txn=None) -> None:
+def _wide_body(node, rng) -> bytes:
+    """A body past ``LARGE_BYTES`` that shares no line with another: its
+    row passes it through, and the delta it leaves behind is a large
+    history piece."""
+    tag = rng.randrange(10**6)
+    return b"".join(b"wide %d %d %d\n" % (node, tag, i)
+                    for i in range(1100))
+
+
+def _one_op(ham, rng, txn=None, wide=False) -> None:
     """One random mutation; refused ones (protections, stale versions)
-    are part of the history too."""
+    are part of the history too.  ``wide`` makes some check-ins large."""
     store = ham.store
     live = [index for index, node in store.nodes.items()
             if node.alive_at(0)]
@@ -52,6 +61,8 @@ def _one_op(ham, rng, txn=None) -> None:
         record = store.node(node)
         contents = b"".join(b"line %d %d\n" % (node, rng.randrange(50))
                             for __ in range(rng.randrange(1, 12)))
+        if wide and rng.random() < 0.5:
+            contents = _wide_body(node, rng)
         attachments = None
         if rng.random() < 0.5:  # move every tracking endpoint
             attachments = [
@@ -106,20 +117,20 @@ def _one_op(ham, rng, txn=None) -> None:
                                   demon=rng.choice([None, "audit"]))
 
 
-def _history(ham, rng, steps: int) -> None:
+def _history(ham, rng, steps: int, wide=False) -> None:
     for __ in range(steps):
         if rng.random() < 0.08:
             # A transaction that stages several changes, then aborts.
             txn = ham.begin()
             try:
                 for __ in range(rng.randrange(1, 4)):
-                    _one_op(ham, rng, txn)
+                    _one_op(ham, rng, txn, wide)
             except NeptuneError:
                 pass
             txn.abort()
             continue
         try:
-            _one_op(ham, rng)
+            _one_op(ham, rng, wide=wide)
         except NeptuneError:
             pass
 
@@ -147,8 +158,7 @@ def _checkpoint_is_exact(ham) -> None:
 def _spliced_chains(store) -> int:
     """Chains holding both a packed prefix and later check-ins."""
     return sum(isinstance(node._archive, DeltaStore)
-               and node._archive._packed is not None
-               and bool(node._archive._tail)
+               and all(node._archive._history)
                for node in store.nodes.values())
 
 
@@ -280,6 +290,87 @@ def test_replica_rows_stay_exact(tmp_path, seed):
                        replica.replayed_lsn) != target:
                     replica._step()
                     assert replica.failure is None
+                store = replica.ham.store
+                assert b"".join(store.encode_snapshot(keep_rows=True)) \
+                    == _oracle(store)
+                assert fingerprint(replica.ham) == fingerprint(primary)
+
+
+def _split_rows(store) -> int:
+    """Kept rows of several parts; each must share every history piece
+    of its chain by reference."""
+    split = 0
+    for node in store.nodes.values():
+        row = node._encoded
+        if row is None or type(row) is bytes:
+            continue
+        split += 1
+        if isinstance(node._archive, DeltaStore):
+            pieces, __ = node._archive._history
+            for piece in pieces:
+                if len(piece.data) >= LARGE_BYTES:
+                    assert any(part is piece.data for part in row)
+    return split
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_small_rows_stay_one_part(tmp_path, seed):
+    rng = random.Random(6000 + seed)
+    __, __, ham = _open(tmp_path)
+    with ham:
+        for __ in range(3):
+            _history(ham, rng, 30)
+            _checkpoint_is_exact(ham)
+            assert _split_rows(ham.store) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_wide_histories_stay_exact_through_folds_and_recovery(tmp_path,
+                                                              seed):
+    # Large bodies make rows of several parts that share the chain's
+    # current contents and history pieces: repeated checkpoints fold
+    # into those pieces, recovery reloads them, and every heap record
+    # must still equal the oracle.
+    rng = random.Random(5000 + seed)
+    project_id, path, ham = _open(tmp_path)
+    split = 0
+    for __ in range(4):
+        _history(ham, rng, 20, wide=True)
+        _checkpoint_is_exact(ham)
+        split += _split_rows(ham.store)
+    _history(ham, rng, 20, wide=True)
+    expected = _committed_state(ham.store)
+    ham._log.close()  # crash: no closing checkpoint
+    ham._closed = True
+    with HAM.open_graph(project_id, path) as recovered:
+        assert _committed_state(recovered.store) == expected
+        for __ in range(2):
+            _checkpoint_is_exact(recovered)
+            split += _split_rows(recovered.store)
+            _history(recovered, rng, 20, wide=True)
+    assert split > 0, "no row held a large value"
+
+
+def test_wide_replica_rows_stay_exact_through_resync(tmp_path):
+    rng = random.Random(7000)
+    __, __, primary = _open(tmp_path, "primary")
+    with primary:
+        _history(primary, rng, 20, wide=True)
+        replica = Replica(primary, tmp_path / "replica", start=False,
+                          poll_wait=0.0)
+        with replica:
+            assert _heap_payload(replica.ham._directory) == _oracle(
+                replica.ham.store)
+            for round_ in range(3):
+                _history(primary, rng, 20, wide=True)
+                primary.checkpoint()  # the replica must resync
+                target = (primary._log.epoch, primary._log.durable_end())
+                while (replica._epoch,
+                       replica.replayed_lsn) != target:
+                    replica._step()
+                    assert replica.failure is None
+                assert _heap_payload(replica.ham._directory) == _oracle(
+                    replica.ham.store)
                 store = replica.ham.store
                 assert b"".join(store.encode_snapshot(keep_rows=True)) \
                     == _oracle(store)

@@ -26,14 +26,15 @@ SEED = int(os.environ.get("NEPTUNE_FAULT_SEED", "0"))
 # Hits are chosen so every case actually reaches its trigger: the WAL
 # sees one blob append and one force per commit (plus two of each per
 # checkpoint) — about 15 of each across the default 16-step mix — and
-# the pager/heap points only run during the mid-workload checkpoint.
+# the heap points only run during the mid-workload checkpoint (its
+# first positional write is the snapshot record, its second the header).
 STORAGE_CASES = [
     (point, hit)
     for point, hits in (
         ("wal.append.pre-fsync", (1, 5, 12)),
         ("wal.append.post-fsync", (1, 5, 12)),
         ("wal.commit.force", (1, 6, 10)),
-        ("pager.write", (1, 2)),
+        ("heap.pwrite", (1, 2)),
         ("heap.write", (1,)),
         # Between the commit blob reaching the log and the write-set
         # publishing into the in-memory store: the durable log is ahead

@@ -10,7 +10,7 @@ import pytest
 from repro.core.ham import HAM
 from repro.errors import NotPrimaryError, ReplicaLagError, RetryableError
 from repro.replication.replica import Replica
-from repro.replication.router import ReplicatedHAM
+from repro.replication.router import ReplicaEndpoint, ReplicatedHAM
 from repro.server.client import RemoteHAM, RetryPolicy
 from repro.server.host import GraphHost
 from repro.server.server import HAMServer
@@ -360,6 +360,144 @@ class TestStoppedReplicas:
             assert not endpoint.healthy
         finally:
             router.close()
+
+
+class TestWrittenOffReplicasComeBack:
+    """An endpoint written off — stream stopped, or server gone — is
+    sampled again at most every ``status_interval``, and serves reads
+    again once its replica streams and has caught up."""
+
+    @pytest.fixture
+    def single(self, tmp_path):
+        cluster = Cluster(tmp_path, replicas=1)
+        yield cluster
+        cluster.close()
+
+    @staticmethod
+    def replica_reads(router):
+        return router._readers[0].client.calls.count("open_node")
+
+    def test_restarted_stream_serves_reads_again(self, single):
+        router = single.router(client_factory=CountingRemoteHAM,
+                               status_interval=0.05, ryw_timeout=0.5)
+        try:
+            node, t = router.add_node()
+            t = router.modify_node(node=node, expected_time=t,
+                                   contents=b"v1")
+            single.await_catchup()
+            single.replicas[0].stop()
+            t = router.modify_node(node=node, expected_time=t,
+                                   contents=b"v2")
+            assert router.open_node(node)[0] == b"v2"
+            endpoint = router._readers[0]
+            assert not endpoint.serving
+            before = self.replica_reads(router)
+            single.replicas[0].start()
+            single.await_catchup()
+            for __ in range(5):
+                time.sleep(0.06)  # past status_interval
+                assert router.open_node(node)[0] == b"v2"
+            assert endpoint.serving
+            assert self.replica_reads(router) > before
+        finally:
+            router.close()
+
+    def test_restarted_server_serves_reads_again(self, single):
+        router = single.router(
+            client_factory=CountingRemoteHAM, read_your_writes=False,
+            status_interval=0.05,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.01))
+        server = single.replica_servers[0]
+        try:
+            node, t = router.add_node()
+            router.modify_node(node=node, expected_time=t,
+                               contents=b"body")
+            single.await_catchup()
+            port = server.address[1]
+            server.stop(disconnect_clients=True)
+            assert router.open_node(node)[0] == b"body"
+            endpoint = router._readers[0]
+            assert not endpoint.healthy
+            before = self.replica_reads(router)
+            server = HAMServer(single.replicas[0].ham, port=port)
+            server.start()
+            single.replica_servers[0] = server
+            for __ in range(5):
+                time.sleep(0.06)
+                assert router.open_node(node)[0] == b"body"
+            assert endpoint.healthy and endpoint.serving
+            assert self.replica_reads(router) > before
+        finally:
+            router.close()
+
+    def test_down_server_is_probed_without_client_backoff(self, single):
+        # While the server stays down, each re-sample is one refused
+        # connect: the endpoint's client, whose retry policy sleeps
+        # between reconnect attempts, is not asked.
+        router = single.router(read_your_writes=False, status_interval=0.02)
+        try:
+            node, __ = router.add_node()
+            single.await_catchup()
+            single.replica_servers[0].stop(disconnect_clients=True)
+            router.open_node(node)  # dies on the transport: marked dead
+            endpoint = router._readers[0]
+            assert not endpoint.healthy
+            retries = endpoint.client.retries
+            for __ in range(5):
+                time.sleep(0.03)
+                router.open_node(node)
+            assert endpoint.client.retries == retries
+            assert not endpoint.healthy
+        finally:
+            router.close()
+
+    def test_written_off_endpoint_is_sampled_once_per_interval(
+            self, single):
+        router = single.router(client_factory=CountingRemoteHAM,
+                               status_interval=30.0)
+        try:
+            node, __ = router.add_node()
+            single.await_catchup()
+            single.replicas[0].stop()
+            endpoint = router._readers[0]
+            endpoint.refresh()
+            assert not endpoint.serving
+            sampled = endpoint.client.calls.count("repl_status")
+            for __ in range(5):
+                router.open_node(node)
+            assert endpoint.client.calls.count("repl_status") == sampled
+        finally:
+            router.close()
+
+
+class TestUnknownLag:
+    def test_stopped_replica_reports_unknown_lag(self, tmp_path):
+        cluster = Cluster(tmp_path, replicas=1)
+        try:
+            cluster.ham.add_node()
+            cluster.await_catchup()
+            replica = cluster.replicas[0]
+            assert replica.status()["lag_bytes"] == 0
+            replica.stop()
+            status = replica.status()
+            assert status["streaming"] is False
+            assert status["lag_bytes"] is None
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("lag,serving", [(None, False), (0, True)])
+    def test_refresh_treats_unknown_lag_as_not_qualifying(self, lag,
+                                                          serving):
+        class StubClient:
+            def repl_status(self):
+                return {"replayed_lsn": 10, "lag_bytes": lag,
+                        "streaming": True}
+
+        endpoint = ReplicaEndpoint("localhost", 1)
+        endpoint.client = StubClient()
+        assert endpoint.refresh() is serving
+        assert endpoint.serving is serving and endpoint.healthy
+        assert endpoint.lag_bytes == lag
 
 
 class TestFailover:

@@ -1,6 +1,8 @@
 """Tests for the backward-delta version store."""
 
 import random
+import sys
+import threading
 import zlib
 from dataclasses import replace
 
@@ -11,11 +13,18 @@ from hypothesis import strategies as st
 from repro import HAM
 from repro.core.graph import GraphDirectory
 from repro.errors import StorageError, VersionError
+from repro.storage import blockcache
 from repro.storage.blockcache import BlockCache
 from repro.storage.cas import BlobCatalog, content_hash
 from repro.storage.deltas import DeltaStore, encode_script
 from repro.storage.diff import apply_differences_bytes
-from repro.storage.serializer import RECORD_HEADER, decode_value, encode_value
+from repro.storage.serializer import (
+    LARGE_BYTES,
+    RECORD_HEADER,
+    decode_value,
+    encode_parts,
+    encode_value,
+)
 from repro.workloads.trace import EditTrace, generate_versions
 
 
@@ -314,8 +323,9 @@ def scripts_of(chain):
     """The stored deltas of a chain built by check-ins alone, by the
     index of the version each one rebuilds from its successor —
     mutable, to tamper."""
-    assert chain._packed is None
-    return chain._tail
+    pieces, tail = chain._history
+    assert not pieces
+    return tail
 
 
 def fold(chain, index):
@@ -439,7 +449,8 @@ class TestPackedHistory:
             chain.check_in(contents, time=len(history))
         reloaded = 0
         for chain, history in chains:
-            reloaded += chain._packed is not None and bool(chain._tail)
+            pieces, tail = chain._history
+            reloaded += bool(pieces) and bool(tail)
             assert chain.to_record()["deltas"] == unpacked_deltas(chain)
             chain.cache = None
             for time, contents in enumerate(history, start=1):
@@ -453,14 +464,15 @@ class TestPackedHistory:
         loaded = DeltaStore.from_record(chain.to_record())
         loaded.cache = None
         loaded.check_in(b"after the load\n", time=len(versions) + 1)
-        assert loaded._packed._scripts is None
+        (piece,), __ = loaded._history
+        assert piece._scripts is None
         # The newest stored version walks only the tail.
         assert loaded.get(len(versions)) == versions[-1]
-        assert loaded._packed._scripts is None
-        # A clone shares the prefix, so one decode serves both.
+        assert piece._scripts is None
+        # A clone shares the piece, so one decode serves both.
         twin = loaded.clone()
         assert twin.get(1) == versions[0]
-        assert loaded._packed._scripts is not None
+        assert piece._scripts is not None
         assert loaded.to_record()["deltas"] == unpacked_deltas(loaded)
 
     def test_legacy_list_form_loads(self):
@@ -490,7 +502,7 @@ class TestPackedHistory:
         versions = [b"a\nb\nc\nd\n", b"a\nB\nc\nd\n", b"a\nB\nc\n",
                     b"x\na\nB\nc\n"]
         record = build(versions).to_record()
-        packed = record["deltas"]
+        packed = bytes(record["deltas"])
         for at in range(5, len(packed)):
             damaged = bytearray(packed)
             damaged[at] ^= mask
@@ -530,8 +542,8 @@ class TestPackedHistory:
             at = payload.find(b"edit 0002\n")
             assert at > 0 and payload.find(b"edit 0002\n", at + 1) > 0
             payload[at + 8] ^= 0x01  # "edit 0003": the delta still decodes
-            heap._write_bytes(record_id, RECORD_HEADER.pack(
-                len(payload), zlib.crc32(payload)) + payload)
+            heap._pwrite(record_id, (RECORD_HEADER.pack(
+                len(payload), zlib.crc32(payload)), payload))
         with HAM.open_graph(project_id, path) as ham:
             assert ham.open_node(node)[0] == bodies[-1]
             for time, body in zip(times, bodies):
@@ -541,3 +553,207 @@ class TestPackedHistory:
                     pass
             with pytest.raises(StorageError):
                 ham.open_node(node, time=times[0])
+
+
+# ----------------------------------------------------------------------
+# folding: encoding a chain moves its tail into its packed history
+
+def wide_body(seed, lines=1200):
+    """About 20 KiB of lines that no other seed shares: a check-in
+    between two of them stores a delta larger than ``LARGE_BYTES``."""
+    return b"".join(b"row %d %d\n" % (seed, i) for i in range(lines))
+
+
+class TestFold:
+    @staticmethod
+    def pieces(chain):
+        pieces, tail = chain._history
+        return pieces, tail
+
+    def test_fold_moves_the_tail_into_pieces(self):
+        versions = generate_versions(EditTrace(initial_lines=20,
+                                               versions=10, seed=11))
+        chain = build(versions)
+        record = chain.to_record()
+        pieces, tail = self.pieces(chain)
+        assert tail == [] and len(pieces) == 1
+        assert pieces[0].count == len(versions) - 1
+        assert pieces[0]._scripts is None  # the decoded tail is dropped
+        assert record["deltas"] == unpacked_deltas(chain)
+        assert record["deltas"].parts[1] is pieces[0].data
+        chain.cache = None
+        for time, contents in enumerate(versions, start=1):
+            assert chain.get(time) == contents
+
+    def test_fold_with_an_empty_tail_changes_nothing(self):
+        chain = build([b"a\n", b"b\n"])
+        chain.to_record()
+        before = chain._history[0]
+        chain.to_record()
+        assert chain._history[0] is before
+
+    def test_a_thousand_folds_hold_few_pieces(self):
+        # One chain, one small check-in and one checkpoint row encoding
+        # at a time: small pieces are joined until they are large, and a
+        # large piece is kept as the very object it was, never copied.
+        lines = [b"line %d\n" % i for i in range(200)]
+        chain = DeltaStore(b"".join(lines), time=1)
+        versions = [b"".join(lines)]
+        large = {}
+        for time in range(2, 1002):
+            lines[time % 200] = b"edit %d\n" % time
+            versions.append(b"".join(lines))
+            chain.check_in(versions[-1], time=time)
+            row = encode_parts(chain.to_record())
+            pieces, tail = self.pieces(chain)
+            assert tail == []
+            total = sum(len(piece.data) for piece in pieces)
+            assert len(pieces) <= 1 + total // LARGE_BYTES
+            for piece in pieces[:-1]:
+                assert len(piece.data) >= LARGE_BYTES
+                assert large.setdefault(piece.start, piece.data) \
+                    is piece.data
+        assert 2 <= len(pieces) <= 10
+        assert b"".join([row] if type(row) is bytes else row) == \
+            encode_value(dict(chain.to_record(),
+                              deltas=unpacked_deltas(chain)))
+        chain.cache = None
+        for time in (1, 2, 500, 999, 1000, 1001):
+            assert chain.get(time) == versions[time - 1]
+
+    def test_large_tails_are_pieces_of_their_own(self):
+        chain = DeltaStore(wide_body(0), time=1)
+        shared = []
+        for time in range(2, 6):
+            chain.check_in(wide_body(time), time=time)
+            row = encode_parts(chain.to_record())
+            pieces, __ = self.pieces(chain)
+            assert len(pieces) == time - 1
+            # The row passes every piece through: the chain and its row
+            # hold the same objects.
+            assert all(any(part is piece.data for part in row)
+                       for piece in pieces)
+            shared.append(pieces[-1].data)
+        assert [piece.data for piece in self.pieces(chain)[0]] == shared
+        assert all(a is b for a, b in zip(
+            shared, (piece.data for piece in self.pieces(chain)[0])))
+
+    def test_a_walk_decodes_only_the_pieces_it_crosses(self):
+        chain = DeltaStore(wide_body(0), time=1)
+        for time in range(2, 6):
+            chain.check_in(wide_body(time), time=time)
+            chain.to_record()
+        chain.cache = None
+        pieces, __ = self.pieces(chain)
+        assert chain.get(4) == wide_body(4)
+        assert [piece._scripts is None for piece in pieces] == \
+            [True, True, True, False]
+        assert chain.get(1) == wide_body(0)
+        assert all(piece._scripts is not None for piece in pieces)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_folds_clones_and_reloads_stay_exact(self, seed):
+        # Check-ins (small edits and wide rewrites), folds, reloads and
+        # clones in a seeded order: every chain's record equals the
+        # fresh encoding of its deltas, and every version reads back.
+        rng = random.Random(seed)
+        chains = [(DeltaStore(b"start\n", time=1), [b"start\n"])]
+        for step in range(80):
+            roll = rng.random()
+            index = rng.randrange(len(chains))
+            chain, history = chains[index]
+            if roll < 0.2:
+                chain.to_record()
+            elif roll < 0.3:
+                chain = DeltaStore.from_record(
+                    decode_value(encode_value(chain.to_record())))
+                chains[index] = (chain, history)
+            elif roll < 0.38 and len(chains) < 4:
+                chains.append((chain.clone(), list(history)))
+            else:
+                if rng.random() < 0.15:
+                    body = wide_body(step)
+                else:
+                    body = history[-1] + b"step %d\n" % step
+                history.append(body)
+                chain.check_in(body, time=len(history))
+        for chain, history in chains:
+            assert chain.to_record()["deltas"] == unpacked_deltas(chain)
+            chain.cache = None
+            for time, contents in enumerate(history, start=1):
+                assert chain.get_exact(time) == contents
+
+    def test_as_of_readers_race_checkpoint_folds(self, tmp_path):
+        # Lock-free as-of reads walk published chains while checkpoints
+        # fold those very chains; with no block cache every old read
+        # walks, and each must rebuild exactly its version.
+        previous = blockcache.set_default(BlockCache(max_bytes=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave readers and the fold
+        try:
+            path = tmp_path / "graph"
+            project_id, __ = HAM.create_graph(path)
+            with HAM.open_graph(project_id, path) as ham:
+                self._race(ham, random.Random(7))
+        finally:
+            sys.setswitchinterval(interval)
+            blockcache.set_default(previous)
+
+    @staticmethod
+    def _race(ham, rng):
+        versions = {}
+        for __ in range(3):
+            node, time = ham.add_node()
+            versions[node] = [(time, b"")]
+
+        def commit_round():
+            for node, history in versions.items():
+                if rng.random() < 0.3:
+                    body = wide_body(rng.randrange(10**6), lines=1100)
+                else:
+                    body = history[-1][1] + b"more %d\n" % len(history)
+                time = ham.modify_node(node=node,
+                                       expected_time=history[-1][0],
+                                       contents=body)
+                history.append((time, body))
+
+        for __ in range(4):
+            commit_round()
+        stop = threading.Event()
+        failures = []
+        reads = []
+
+        def reader(seed):
+            mine = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    node = mine.choice(list(versions))
+                    time, body = mine.choice(list(versions[node]))
+                    # What a pinned snapshot reader does: read the
+                    # published record, taking no lock (an open
+                    # transaction would hold the checkpoint off).
+                    record = ham.store.node(node)
+                    contents = record.contents_at(time)
+                    chain = record._archive
+                    index = chain.version_index_at(time)
+                    assert content_hash(contents) == chain.hash_at(index)
+                    assert contents == body
+                    reads.append(time)
+            except Exception as exc:
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            for __ in range(8):
+                commit_round()
+                ham.checkpoint()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        assert len(reads) > 10

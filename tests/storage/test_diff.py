@@ -462,7 +462,7 @@ def test_seeded_chain_record_is_byte_identical():
     # Digest recorded from the token-by-token engine this one replaced,
     # over the record form of its day: the deltas as a list of scripts.
     record = seeded_chain().to_record()
-    record["deltas"] = decode_value(record["deltas"])
+    record["deltas"] = decode_value(bytes(record["deltas"]))
     record = encode_value(record)
     assert hashlib.blake2b(record, digest_size=16).hexdigest() \
         == "8c89a3cbcb45338fff12f7888cac6d3a"

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import FaultError, StorageError
 from repro.storage.heap import RecordHeap
-from repro.storage.pager import PAGE_SIZE
+from repro.storage.heap import PAGE_SIZE
 from repro.storage.serializer import pack_record
 from repro.testing import faults
 
@@ -217,3 +217,127 @@ class TestAlignedRecords:
             heap.sync()
         with RecordHeap(path) as heap:
             assert heap.read(record_id) == b"snapshot bytes"
+
+
+class TestFileLayout:
+    """The file is the header page, then the framed records, zero-filled
+    to a whole number of pages."""
+
+    def test_new_heap_is_one_header_page(self, tmp_path):
+        path = tmp_path / "new.heap"
+        RecordHeap(path).close()
+        data = path.read_bytes()
+        assert len(data) == PAGE_SIZE
+        assert data.startswith(b"NEPTHEAP")
+        assert data[24:] == bytes(PAGE_SIZE - 24)  # past the header
+
+    @pytest.mark.parametrize("align", [False, True])
+    def test_records_are_framed_and_zero_filled(self, tmp_path, align):
+        path = tmp_path / "layout.heap"
+        payloads = [b"a" * 10, b"b" * 5000, b"", b"c" * 3]
+        with RecordHeap(path, align_records=align) as heap:
+            ids = [heap.append(payload) for payload in payloads]
+            assert path.stat().st_size % PAGE_SIZE == 0
+        data = path.read_bytes()
+        assert len(data) % PAGE_SIZE == 0
+        expected = bytearray(PAGE_SIZE)
+        for record_id, payload in zip(ids, payloads):
+            if len(expected) < record_id:
+                expected += bytes(record_id - len(expected))
+            assert len(expected) == record_id
+            expected += pack_record(payload)
+        expected += bytes(-len(expected) % PAGE_SIZE)
+        assert data[PAGE_SIZE:] == bytes(expected[PAGE_SIZE:])
+
+    def test_many_parts_span_several_positional_writes(self, tmp_path):
+        parts = [bytes([n % 251]) * (n % 7) for n in range(3000)]
+        with faults.injected(faults.FaultPlan(())) as injector:
+            with RecordHeap(tmp_path / "parts.heap") as heap:
+                assert injector.hits("heap.pwrite") == 1  # the header
+                record_id = heap.append(*parts)
+                # 3 002 buffers: framing, parts, padding.
+                assert injector.hits("heap.pwrite") == 4
+                assert heap.read(record_id) == b"".join(parts)
+
+
+class TestPositionalWriteFaults:
+    """``heap.pwrite`` fires before each positional write: the record's
+    buffers first, then the header rewrite."""
+
+    def _two_records(self, tmp_path, action, hit, seed=0):
+        path = tmp_path / f"{action}-{hit}-{seed}.heap"
+        with RecordHeap(path, align_records=True) as heap:
+            kept = heap.append(b"committed")
+        heap = RecordHeap(path, align_records=True)
+        with faults.injected(faults.FaultPlan(
+                (faults.FaultSpec("heap.pwrite", action, hit=hit),),
+                seed=seed)) as injector:
+            with pytest.raises((faults.SimulatedCrash, FaultError)):
+                heap.append(b"x" * 5000)
+                heap.sync()
+            assert injector.fired
+        heap.close()  # after a crash: writes nothing more, frees the fd
+        return path, kept
+
+    def test_record_write_then_header_rewrite(self, tmp_path):
+        with faults.injected(faults.FaultPlan(())) as injector:
+            with RecordHeap(tmp_path / "hits.heap") as heap:
+                heap.append(b"one")
+                assert injector.hits("heap.pwrite") == 2  # create, record
+                heap.sync()
+                assert injector.hits("heap.pwrite") == 3  # header
+                heap.flush()
+            # Nothing moved since: close rewrites no header.
+            assert injector.hits("heap.pwrite") == 3
+
+    @pytest.mark.parametrize("action", faults.ACTIONS)
+    @pytest.mark.parametrize("hit", [1, 2])
+    def test_crashed_writes_leave_earlier_records(self, tmp_path, action,
+                                                  hit):
+        path, kept = self._two_records(tmp_path, action, hit)
+        with RecordHeap(path, rescue_header=True) as heap:
+            assert heap.read(kept) == b"committed"
+            added = heap.append(b"after")
+            assert heap.read(added) == b"after"
+            assert heap.read(kept) == b"committed"
+
+    def test_torn_header_rewrite_is_rescued(self, tmp_path):
+        for seed in range(8):
+            path, kept = self._two_records(tmp_path, "truncate", 2, seed)
+            with RecordHeap(path, rescue_header=True) as heap:
+                assert heap.read(kept) == b"committed"
+                assert heap.size_bytes in (
+                    8 + len(b"committed"),
+                    PAGE_SIZE + 8 + 5000)
+
+
+class TestLifecycle:
+    def test_closed_heap_rejects_operations(self, tmp_path):
+        heap = RecordHeap(tmp_path / "closed.heap")
+        record_id = heap.append(b"x")
+        heap.close()
+        for operation in (lambda: heap.append(b"y"),
+                          lambda: heap.read(record_id),
+                          heap.flush, heap.sync):
+            with pytest.raises(StorageError, match="closed"):
+                operation()
+
+    def test_double_close_is_safe(self, tmp_path):
+        heap = RecordHeap(tmp_path / "twice.heap")
+        heap.close()
+        heap.close()
+
+    def test_short_tail_reads_as_zeros(self, tmp_path):
+        # A crash mid-extension leaves the file short of a page multiple:
+        # it still opens, and the records before the cut still read.
+        path = tmp_path / "short.heap"
+        with RecordHeap(path) as heap:
+            first = heap.append(b"first")
+            second = heap.append(b"second")
+        with open(path, "r+b") as handle:
+            handle.truncate(second + 8 + len(b"second"))
+        with RecordHeap(path) as heap:
+            assert heap.read(first) == b"first"
+            assert heap.read(second) == b"second"
+            heap.append(b"third")
+        assert path.stat().st_size % PAGE_SIZE == 0

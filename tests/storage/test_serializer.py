@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ChecksumError, StorageError
 from repro.storage.serializer import (
+    LARGE_BYTES,
+    Pieces,
     decode_value,
+    encode_items,
+    encode_parts,
     encode_value,
+    list_header,
     pack_record,
     unpack_record,
 )
@@ -188,6 +193,55 @@ class TestContainers:
     def test_empty_containers(self):
         for value in ([], (), {}):
             assert decode_value(encode_value(value)) == value
+
+
+class TestPieces:
+    """A bytes value held as parts, and values encoded as parts."""
+
+    BIG = bytes(range(256)) * (LARGE_BYTES // 256)
+    SMALL = b"small" * 10
+
+    def test_pieces_encode_as_the_joined_bytes(self):
+        parts = (b"ab", memoryview(b"xcd")[1:], b"", self.BIG)
+        value = {"v": [Pieces(parts), 7]}
+        joined = {"v": [b"".join(parts), 7]}
+        assert encode_value(value) == encode_value(joined)
+        assert decode_value(encode_value(value)) == joined
+
+    def test_pieces_compare_as_bytes(self):
+        pieces = Pieces((b"ab", memoryview(b"cd")))
+        assert pieces == b"abcd" and pieces == Pieces((b"abc", b"d"))
+        assert pieces != b"abc" and pieces.length == 4
+        assert bytes(pieces) == b"abcd"
+
+    def test_items_are_a_list_less_its_header(self):
+        values = [1, b"two", ["three"]]
+        assert list_header(3) + encode_items(values) == encode_value(values)
+
+    def test_small_values_stay_one_part(self):
+        value = {"a": self.SMALL, "b": {"c": [self.BIG]},
+                 "d": Pieces((self.SMALL, self.SMALL))}
+        row = encode_parts(value)
+        assert type(row) is bytes
+        assert row == encode_value(value)
+
+    def test_large_values_pass_through_by_reference(self):
+        piece = memoryview(self.BIG + b"!")
+        value = {"head": 1, "body": self.BIG,
+                 "nested": {"deltas": Pieces((list_header(2), self.SMALL,
+                                              piece))},
+                 "tail": "end"}
+        row = encode_parts(value)
+        assert type(row) is tuple
+        assert b"".join(row) == encode_value(value)
+        assert any(part is self.BIG for part in row)
+        assert any(part is piece for part in row)
+        assert all(len(part) for part in row)
+
+    def test_large_value_at_the_very_end(self):
+        row = encode_parts({"x": self.BIG})
+        assert row[-1] is self.BIG
+        assert b"".join(row) == encode_value({"x": self.BIG})
 
 
 class TestErrors:

@@ -31,7 +31,7 @@ class TestSpecs:
             faults.FaultSpec("wal.commit.force", "raise", hit=0)
 
     def test_plan_is_frozen(self):
-        p = plan(faults.FaultSpec("pager.write", "raise"))
+        p = plan(faults.FaultSpec("heap.pwrite", "raise"))
         with pytest.raises(AttributeError):
             p.seed = 99
 
@@ -42,12 +42,12 @@ class TestFiring:
 
     def test_hit_counting(self):
         injector = faults.install(
-            plan(faults.FaultSpec("pager.write", "raise", hit=3)))
-        injector.fire("pager.write")
-        injector.fire("pager.write")
+            plan(faults.FaultSpec("heap.pwrite", "raise", hit=3)))
+        injector.fire("heap.pwrite")
+        injector.fire("heap.pwrite")
         with pytest.raises(FaultError):
-            injector.fire("pager.write")
-        assert injector.hits("pager.write") == 3
+            injector.fire("heap.pwrite")
+        assert injector.hits("heap.pwrite") == 3
         assert [spec.hit for spec in injector.fired] == [3]
 
     def test_points_count_independently(self):
@@ -74,7 +74,7 @@ class TestFiring:
             injector.fire("wal.append.pre-fsync")
         assert injector.crashed
         with pytest.raises(faults.SimulatedCrash):
-            injector.fire("pager.write")  # any point now crashes
+            injector.fire("heap.pwrite")  # any point now crashes
 
     def test_injected_contextmanager_cleans_up(self):
         with faults.injected(plan()) as injector:
