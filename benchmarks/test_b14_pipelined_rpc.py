@@ -9,8 +9,9 @@ stream requests and collect replies as futures.  Three transports over
 the same wire:
 
 - **serial**    — one round trip per operation (the seed's discipline);
-- **batched**   — ``call_batch``: chunks of operations in one message,
-  one round trip per chunk;
+- **batched**   — ``RemoteHAM.batch()``: chunks of operations queued
+  client-side, each chunk sent as one pipeline and drained before the
+  next;
 - **pipelined** — ``RemoteHAM.pipeline()``: every request streamed
   immediately, replies matched by id, read-only operations executing
   concurrently on MVCC snapshots server-side.

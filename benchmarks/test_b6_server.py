@@ -129,10 +129,11 @@ def test_b6_write_throughput_vs_sessions(benchmark, served):
 
 @pytest.mark.benchmark(group="B6 batching")
 def test_b6_batched_vs_unbatched(benchmark, served):
-    """call_batch amortizes the round trip: N attribute writes as N
-    RPCs vs as one batched message.  The win is the wire floor
-    (test_b6_remote_ping) times N-1, so batched ops/s should be a
-    multiple of unbatched ops/s even over loopback."""
+    """A batch amortizes the round trip: N attribute writes as N
+    RPCs vs as one batch, queued and then sent as one pipeline.  The
+    win is most of the wire floor (test_b6_remote_ping) times N-1, so
+    batched ops/s should be a multiple of unbatched ops/s even over
+    loopback."""
     __, ___, client, node = served
     ops = 50
     attribute = client.get_attribute_index("b6-batch")
@@ -168,5 +169,5 @@ def test_b6_batched_vs_unbatched(benchmark, served):
     report(f"B6  batched vs unbatched RPC ({ops} attribute writes)",
            lines)
 
-    # Shape: one round trip for N operations must beat N round trips.
+    # Shape: one pipelined batch of N operations must beat N round trips.
     assert rates["batched"] > rates["unbatched"]

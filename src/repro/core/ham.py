@@ -592,6 +592,9 @@ class HAM:
         if self._directory is None:
             return
         with self._state_lock:
+            # Admit before encoding: a refused checkpoint must leave no
+            # orphan snapshot record and no replaced kept rows behind.
+            self._txns.require_checkpointable()
             snapshot_id = self._directory.append_snapshot(
                 self._store, keep_rows=True)
             self._txns.checkpoint_mark(snapshot_id)

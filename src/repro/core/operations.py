@@ -17,8 +17,8 @@ derive their behaviour from the same table:
   resolution, invocation, and result encoding are all derived, so
   ``server.py`` contains no per-operation handler bodies;
 - the remote client generates its operation stubs from the table
-  (:func:`make_client_stub`), including the stubs of the batching
-  proxy behind ``RemoteHAM.batch()``.
+  (:func:`make_client_stub`), including the stubs of the pipeline and
+  of the queueing proxy behind ``RemoteHAM.batch()``.
 
 A :class:`Codec` is a symmetric pair of translations between *local*
 Python values (``LinkPt``, ``Protections``, ``EventKind``, delta
@@ -64,8 +64,8 @@ __all__ = [
 #: or message shape changes incompatibly; ``ping`` carries it so client
 #: and server can refuse a mismatched pairing up front.  Version 1 was
 #: the hand-written protocol whose ``ping`` returned the bare string
-#: ``"pong"``; version 2 introduced the registry-derived dispatch and
-#: ``call_batch``; version 3 added ``explainQuery`` (plan rendering for
+#: ``"pong"``; version 2 introduced the registry-derived dispatch and a
+#: server-side batch method; version 3 added ``explainQuery`` (plan rendering for
 #: the cost-based query planner); version 4 added the replication
 #: vocabulary (``replSubscribe``/``replStatus``/``replSnapshot``/
 #: ``replPromote``) and changed ``commit`` to return the transaction's
@@ -82,8 +82,11 @@ __all__ = [
 #: changed the delta-chain record inside ``replSnapshot`` replies: a
 #: chain's ``deltas`` field is one encoded list (``bytes``), not a list of
 #: scripts, so a replica built for version 7 is refused at the handshake
-#: rather than failing to load the snapshot.
-PROTOCOL_VERSION = 8
+#: rather than failing to load the snapshot.  Version 9 removed the
+#: batch method: a client batch is pipelined ordinary requests, so a
+#: version-8 client that still sends one is refused at the handshake
+#: rather than failing per request.
+PROTOCOL_VERSION = 9
 
 
 class _Required:
@@ -833,9 +836,9 @@ def read_only_methods(registry: OperationRegistry | None = None,
                       ) -> frozenset[str]:
     """Names of the operations a session may run concurrently.
 
-    Everything else — mutations, session-state operations, ``call_batch``,
-    and the host methods (which are not in the registry at all) — is
-    ordered: the server runs it alone, in arrival order, per session.
+    Everything else — mutations, session-state operations, and the host
+    methods (which are not in the registry at all) — is ordered: the
+    server runs it alone, in arrival order, per session.
     """
     registry = REGISTRY if registry is None else registry
     return frozenset(operation.name for operation in registry

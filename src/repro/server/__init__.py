@@ -8,7 +8,7 @@ network" (§4.1).
 
 - :mod:`repro.server.protocol` — length-prefixed binary framing over TCP,
   request/response message shapes, value (de)marshalling, and the
-  incremental :class:`FrameDecoder` for non-blocking transports.
+  incremental :class:`FrameDecoder` every connection reads through.
 - :mod:`repro.server.server` — :class:`HAMServer`: an event-driven TCP
   server (selector I/O loop + bounded worker pool) wrapping one HAM or a
   :class:`GraphHost`.  Sessions may pipeline requests; per session,
@@ -19,9 +19,9 @@ network" (§4.1).
   paper's "site crashes in the middle of a hypertext transaction" case).
 - :mod:`repro.server.client` — :class:`RemoteHAM`: the same API as
   :class:`repro.core.ham.HAM`, executed remotely, with
-  :class:`RemoteBatch` queueing many operations into one round trip and
   :class:`RemotePipeline` streaming many requests with futures for the
-  replies.
+  replies and :class:`RemoteBatch` queueing operations for one pipeline.
+  Every read of a connection goes through its one :class:`FrameDecoder`.
 
 Both dispatchers (server table and client stubs) are derived from the
 declarative operation registry in :mod:`repro.core.operations`.

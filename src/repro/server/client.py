@@ -14,9 +14,16 @@ one on the server, ``commit``/``abort`` finish it, and the server aborts
 anything left open if the connection dies.
 
 Batching: ``with client.batch() as b:`` queues operations client-side
-(each call returns a :class:`BatchFuture`) and flushes them all in one
-``call_batch`` round trip on exit — the cure for RPC-per-operation
+(each call returns a :class:`BatchFuture`) and on exit streams them all
+through one :class:`RemotePipeline` — the cure for RPC-per-operation
 latency when a workstation replays many independent updates.
+
+Reading: each connection has exactly one
+:class:`~repro.server.protocol.FrameDecoder`, and serial replies, change
+feed pushes and pipelined replies are all framed by it.  A partial frame
+therefore outlives whichever path read its first bytes — a poll that
+times out mid-push, or a pipeline that exits mid-frame — and the next
+read of any kind completes it.
 
 Like the local HAM, a client has a ``middleware`` chain
 (:class:`repro.core.operations.MiddlewareChain`); add a
@@ -41,6 +48,7 @@ workstation session survives a server restart.  ``reconnects`` and
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import select
 import socket
@@ -170,43 +178,37 @@ class BatchFuture:
     error, exactly as the unbatched call would have.
     """
 
-    _PENDING = object()
-
-    __slots__ = ("operation", "_value", "_error")
+    __slots__ = ("operation", "_reply")
 
     def __init__(self, operation: Operation):
         self.operation = operation
-        self._value = self._PENDING
-        self._error: dict | None = None
+        #: The entry's pipelined request, once flushed.
+        self._reply: PipelineFuture | None = None
 
     def done(self) -> bool:
-        return self._value is not self._PENDING or self._error is not None
+        return self._reply is not None and self._reply.done()
 
     def result(self):
-        if self._error is not None:
-            _raise_remote(self._error)
-        if self._value is self._PENDING:
+        if self._reply is None:
             raise ProtocolError(
                 f"{self.operation.name}: batch not flushed yet")
-        return self._value
-
-    def _resolve(self, value) -> None:
-        self._value = value
-
-    def _fail(self, error: dict) -> None:
-        self._error = error
+        return self._reply.result()
 
 
 class RemoteBatch:
-    """Queues registry operations; one ``call_batch`` flush sends all.
+    """Queues registry operations; the flush pipelines them all.
 
     Exposes the same generated operation stubs as :class:`RemoteHAM`,
     but each call queues the encoded request and returns a
     :class:`BatchFuture` instead of performing a round trip.  Exiting
     the ``with`` block flushes (unless the block raised, in which case
-    the queue is discarded).  Entries execute server-side in queue
-    order with per-entry error reporting — one failure does not abort
-    the rest.
+    the queue is discarded).  The flush is a :class:`RemotePipeline`:
+    entries execute server-side in queue order (mutations are ordered
+    per session) with per-entry error reporting — one failure does not
+    abort the rest.  Connecting retries under the client's
+    :class:`RetryPolicy`; once the requests are out, a lost connection
+    raises :class:`repro.errors.RetryableError`, since the server may
+    have executed any of them.
     """
 
     def __init__(self, client: "RemoteHAM"):
@@ -223,32 +225,25 @@ class RemoteBatch:
         return future
 
     def flush(self) -> list[BatchFuture]:
-        """Send every queued call in one round trip; resolve futures."""
+        """Pipeline every queued call; resolve futures."""
         if not self._queue:
             return []
         queued, self._queue = self._queue, []
-        calls = [[operation.name, wire_params]
-                 for operation, wire_params, __ in queued]
-        chain = self._client.middleware
-        if not chain:
-            entries = self._client._call("call_batch", calls=calls)
-        else:
-            entries = chain.run(
-                "call_batch",
-                lambda: self._client._call("call_batch", calls=calls))
-        if not isinstance(entries, (list, tuple)) \
-                or len(entries) != len(queued):
-            raise ProtocolError(
-                "call_batch returned a malformed result list")
-        futures = []
-        for (operation, __, future), entry in zip(queued, entries):
-            ok, payload = entry
-            if ok:
-                future._resolve(operation.result.from_wire(payload))
-            else:
-                future._fail(payload)
-            futures.append(future)
-        return futures
+        connected = False
+        try:
+            with RemotePipeline(self._client) as pipeline:
+                connected = True
+                for operation, wire_params, future in queued:
+                    future._reply = pipeline._enqueue(operation,
+                                                      wire_params)
+        except (ConnectionError, TimeoutError, OSError) as exc:
+            if not connected:
+                raise
+            raise RetryableError(
+                f"batch of {len(queued)}: connection lost after the "
+                f"requests were sent; the server may have executed them"
+            ) from exc
+        return [future for __, ___, future in queued]
 
     def __enter__(self) -> "RemoteBatch":
         return self
@@ -292,6 +287,9 @@ class RemoteHAM:
         self._ids = itertools.count(1)
         self._closed = False
         self._sock: socket.socket | None = None
+        #: The one reader of ``_sock``: lives and dies with the
+        #: connection, so a partial frame is never lost between reads.
+        self._decoder = FrameDecoder()
         #: The (project_id, name) of the last successful host_open_graph,
         #: replayed after a reconnect so the session stays bound.
         self._rebind: tuple[int, str] | None = None
@@ -336,11 +334,23 @@ class RemoteHAM:
 
     def _teardown_locked(self) -> None:
         sock, self._sock = self._sock, None
+        self._decoder = FrameDecoder()
         if sock is not None:
             try:
                 sock.close()
             except OSError:
                 pass
+
+    def _connected_locked(self) -> socket.socket:
+        """The live socket, connecting (and counting a reconnect) first
+        when the last one was torn down."""
+        if self._closed:
+            raise ConnectionError("client is closed")
+        if self._sock is None:
+            self._connect_locked()
+            self.reconnects += 1
+            RESILIENCE.increment("reconnects")
+        return self._sock
 
     def _connect_locked(self) -> None:
         self._sock = socket.create_connection(
@@ -413,30 +423,35 @@ class RemoteHAM:
         request_id = next(self._ids)
         frame = encode_message({
             "id": request_id, "method": method, "params": params})
+        sock = self._sock
         sent = False
+        replies = []
         try:
-            self._sock.settimeout(timeout)
-            self._sock.sendall(frame)
+            sock.settimeout(timeout)
+            sock.sendall(frame)
             # The full frame reached the transport: the server may
             # execute the request even if we never see the reply.
             sent = True
-            response = read_message(self._sock)
             # Unsolicited push frames (change-feed events; protocol v7)
-            # may interleave ahead of the response: route them to their
-            # watches and keep reading for the reply.
-            while isinstance(response, dict) and "push" in response:
-                self._route_push(response)
-                response = read_message(self._sock)
+            # may arrive on either side of the reply: route them to
+            # their watches and keep reading until the reply is in.
+            while not replies:
+                for message in read_message(sock, self._decoder):
+                    if isinstance(message, dict) and "push" in message:
+                        self._route_push(message)
+                    else:
+                        replies.append(message)
         except (ConnectionError, TimeoutError, OSError,
                 ChecksumError, StorageError, ProtocolError) as exc:
             self._teardown_locked()
             raise _TransportFailure(exc, sent) from exc
-        if not isinstance(response, dict) \
+        response = replies[0]
+        if len(replies) != 1 or not isinstance(response, dict) \
                 or response.get("id") != request_id:
             self._teardown_locked()
             raise _TransportFailure(ProtocolError(
                 f"{method}: response does not match request "
-                f"{request_id} (got {response!r})"), sent=True)
+                f"{request_id} (got {replies!r})"), sent=True)
         if response.get("ok"):
             # Mutating replies carry the graph's commit watermark (see
             # the server's dispatch): advance the session's
@@ -447,41 +462,46 @@ class RemoteHAM:
         _raise_remote(response.get("error") or {})
 
     def _call(self, method: str, _idempotent: bool = False, **params):
-        policy = self.retry
         with self._lock:
-            if self._closed:
-                raise ConnectionError("client is closed")
-            deadline = None
-            if policy.call_deadline is not None:
-                deadline = _time.monotonic() + policy.call_deadline
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    if self._sock is None:
-                        self._connect_locked()
-                        self.reconnects += 1
-                        RESILIENCE.increment("reconnects")
-                    return self._transact_locked(method, params, deadline)
-                except _TransportFailure as failure:
-                    cause, sent = failure.cause, failure.sent
-                except (ConnectionError, TimeoutError, OSError) as exc:
-                    cause, sent = exc, False  # connect-time failure
-                if sent and not _idempotent:
-                    raise RetryableError(
-                        f"{method}: connection lost after the request was "
-                        f"sent; the server may have executed it"
-                    ) from cause
-                out_of_time = (deadline is not None
-                               and _time.monotonic() >= deadline)
-                if attempt >= policy.max_attempts or out_of_time:
-                    raise cause
-                self.retries += 1
-                RESILIENCE.increment("retries")
-                delay = min(policy.backoff_cap,
-                            policy.backoff_base * 2 ** (attempt - 1))
-                delay *= 1 + policy.jitter * self._rng.random()
-                _time.sleep(delay)
+            return self._retrying_locked(
+                method, _idempotent,
+                functools.partial(self._transact_locked, method, params))
+
+    def _retrying_locked(self, what: str, idempotent: bool, attempt_fn):
+        """Run ``attempt_fn(deadline)`` on a live connection under
+        :attr:`retry`: connect failures always retry, transport failures
+        only while nothing was sent or the request is idempotent."""
+        if self._closed:
+            raise ConnectionError("client is closed")
+        policy = self.retry
+        deadline = None
+        if policy.call_deadline is not None:
+            deadline = _time.monotonic() + policy.call_deadline
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                self._connected_locked()
+                return attempt_fn(deadline)
+            except _TransportFailure as failure:
+                cause, sent = failure.cause, failure.sent
+            except (ConnectionError, TimeoutError, OSError) as exc:
+                cause, sent = exc, False  # connect-time failure
+            if sent and not idempotent:
+                raise RetryableError(
+                    f"{what}: connection lost after the request was "
+                    f"sent; the server may have executed it"
+                ) from cause
+            out_of_time = (deadline is not None
+                           and _time.monotonic() >= deadline)
+            if attempt >= policy.max_attempts or out_of_time:
+                raise cause
+            self.retries += 1
+            RESILIENCE.increment("retries")
+            delay = min(policy.backoff_cap,
+                        policy.backoff_base * 2 ** (attempt - 1))
+            delay *= 1 + policy.jitter * self._rng.random()
+            _time.sleep(delay)
 
     def _note_commit(self, commit_lsn: int | None) -> None:
         """Advance the session's read-your-writes watermark."""
@@ -528,7 +548,7 @@ class RemoteHAM:
     transaction = begin
 
     def batch(self) -> RemoteBatch:
-        """Queue operations and flush them in one round trip.
+        """Queue operations and flush them through one pipeline.
 
         ::
 
@@ -548,10 +568,11 @@ class RemoteHAM:
                 futures = [p.add_node() for __ in range(100)]
             nodes = [f.result() for f in futures]
 
-        Unlike :meth:`batch` (one round trip, executed as one request),
-        a pipeline streams individual requests and lets the server
-        overlap their execution — read-only calls run concurrently on
-        snapshots, mutations stay in issue order.  ``max_inflight``
+        Unlike :meth:`batch` (which queues until its block exits, then
+        pipelines the queue), a pipeline streams each request as it is
+        issued and lets the server overlap their execution — read-only
+        calls run concurrently on snapshots, mutations stay in issue
+        order.  ``max_inflight``
         bounds how many requests may be outstanding at once (``_issue``
         blocks servicing the wire until the window drains).  See
         :class:`RemotePipeline` for the failure semantics.
@@ -608,12 +629,7 @@ class RemoteHAM:
         wire_events = (None if events is None
                        else [EventKind(event).value for event in events])
         with self._lock:
-            if self._closed:
-                raise ConnectionError("client is closed")
-            if self._sock is None:
-                self._connect_locked()
-                self.reconnects += 1
-                RESILIENCE.increment("reconnects")
+            self._connected_locked()
             try:
                 reply = self._transact_locked(
                     "subscribe",
@@ -700,43 +716,41 @@ class RemoteHAM:
             raise
 
     def _pump_push(self, timeout: float) -> bool:
-        """Read one frame's worth of push traffic; True when any arrived.
+        """Read push traffic until a frame completes; True when any did.
 
-        A clean timeout (no byte of a frame consumed — see
-        :func:`repro.server.protocol.read_message`) means "no pushes
-        right now".  ``timeout <= 0`` never waits for a frame to start:
-        one readiness check, then a read of the frame already arriving.
-        A dead connection tears down quietly; the next pump reconnects,
+        A timeout means "no pushes right now" — even mid-frame, since
+        the connection's decoder keeps the partial frame for the next
+        read.  ``timeout <= 0`` never waits for a frame to start: one
+        readiness check, then a read of the frame already arriving.  A
+        dead connection tears down quietly; the next pump reconnects,
         which re-subscribes every live watch.
         """
         with self._lock:
-            if self._closed:
-                raise ConnectionError("client is closed")
             if self._sock is None:
-                self._connect_locked()
-                self.reconnects += 1
-                RESILIENCE.increment("reconnects")
+                self._connected_locked()
                 return True  # resubscribe replay may have routed frames
+            sock = self._sock
             try:
                 if timeout > 0.0:
-                    self._sock.settimeout(timeout)
-                elif select.select([self._sock], [], [], 0.0)[0]:
-                    self._sock.settimeout(self._timeout)
+                    sock.settimeout(timeout)
+                elif select.select([sock], [], [], 0.0)[0]:
+                    sock.settimeout(self._timeout)
                 else:
                     return False
-                message = read_message(self._sock)
+                messages = read_message(sock, self._decoder)
             except TimeoutError:
                 return False
-            except (ConnectionError, OSError, ChecksumError,
-                    StorageError):
+            except (ConnectionError, OSError, StorageError,
+                    ProtocolError):
                 self._teardown_locked()
                 return False
-            if isinstance(message, dict) and "push" in message:
+            for message in messages:
+                if not (isinstance(message, dict) and "push" in message):
+                    self._teardown_locked()
+                    raise ProtocolError(
+                        f"unsolicited non-push message {message!r}")
                 self._route_push(message)
-                return True
-            self._teardown_locked()
-            raise ProtocolError(
-                f"unsolicited non-push message {message!r}")
+            return True
 
 
 class RemoteWatch:
@@ -774,6 +788,9 @@ class RemoteWatch:
             self._cancel = (message.get("reason"),
                             message.get("dropped", 0),
                             message.get("message", ""))
+            # The server dropped the subscription: nothing is left to
+            # re-subscribe after a reconnect, or to unsubscribe.
+            self._client._watches.pop(self.sub_id, None)
             return
         lsn = message.get("lsn", 0)
         seq = message.get("seq", 0)
@@ -846,12 +863,9 @@ class RemoteWatch:
         if self.closed:
             return
         self.closed = True
-        with self._client._lock:
-            self._client._watches.pop(self.sub_id, None)
         if self._cancel is None:
             try:
-                self._client._call("unsubscribe", _idempotent=True,
-                                   sub=self.sub_id)
+                self._client.unsubscribe(self.sub_id)
             except Exception:
                 pass
 
@@ -938,10 +952,13 @@ class RemotePipeline:
     ordered) can overlap execution.  Exit drains everything still in
     flight, so after the ``with`` block every future is resolved.
 
-    Failure semantics are stricter than serial calls: pipelined requests
+    Failure semantics are stricter than serial calls: entering connects
+    under the client's :class:`RetryPolicy`, but pipelined requests
     never auto-retry.  If the connection dies, every unresolved future
     is abandoned (``result()`` raises :class:`ConnectionError`) and the
-    socket is torn down — the next serial call reconnects.
+    socket is torn down — the next serial call reconnects.  Replies and
+    pushes are framed by the client's one decoder, so a partial frame
+    left at exit is finished by the next read of any kind.
 
     ``begin()`` returns a future resolving to a
     :class:`RemoteTransaction`; pipelining operations *under* a
@@ -956,7 +973,6 @@ class RemotePipeline:
         self._max_inflight = max_inflight
         self._futures: dict[int, PipelineFuture] = {}
         self._sendbuf = bytearray()
-        self._decoder = FrameDecoder()
         self._active = False
         self._dead = False
         #: High-water mark of requests outstanding at once.
@@ -972,14 +988,12 @@ class RemotePipeline:
     def __enter__(self) -> "RemotePipeline":
         self._client._lock.acquire()
         try:
-            if self._client._closed:
-                raise ConnectionError("client is closed")
             if self._active:
                 raise ProtocolError("pipeline already entered")
-            if self._client._sock is None:
-                self._client._connect_locked()
-                self._client.reconnects += 1
-                RESILIENCE.increment("reconnects")
+            # Nothing is sent yet, so a connect failure retries under the
+            # client's RetryPolicy like any other call's would.
+            self._client._retrying_locked("pipeline", True,
+                                          lambda deadline: None)
             self._client._sock.setblocking(False)
         except BaseException:
             self._client._lock.release()
@@ -1131,7 +1145,7 @@ class RemotePipeline:
                         raise ConnectionError(
                             "server closed the connection")
                     progress = True
-                    for message in self._decoder.feed(data):
+                    for message in self._client._decoder.feed(data):
                         self._dispatch(message)
         except (ConnectionError, TimeoutError, OSError, ChecksumError,
                 StorageError, ProtocolError) as exc:

@@ -46,7 +46,7 @@ def write_message(sock: socket.socket, message: object) -> None:
 
 
 class FrameDecoder:
-    """Incremental message decoder for non-blocking transports.
+    """Incremental message decoder: one per connection, on both sides.
 
     Feed it whatever byte chunks ``recv`` produced; it buffers partial
     frames and returns every complete decoded message, preserving
@@ -89,57 +89,35 @@ class FrameDecoder:
         return messages
 
 
-def _kill(sock: socket.socket) -> None:
-    try:
-        sock.close()
-    except OSError:
-        pass
+#: Bytes asked of one blocking receive.
+_CHUNK = 65536
 
 
-def _read_exact(sock: socket.socket, length: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = length
-    try:
-        while remaining > 0:
-            chunk = sock.recv(remaining)
-            if not chunk:
-                raise ConnectionError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-    except TimeoutError:
-        if not chunks:
-            raise  # nothing consumed: the stream is still frame-aligned
-        # A timeout mid-frame leaves the stream desynchronized — the
-        # next read would consume the rest of this frame as if it were a
-        # new one.  The connection is unusable; kill it.
-        _kill(sock)
-        raise ConnectionError(
-            f"timed out mid-message after {length - remaining} of "
-            f"{length} bytes; connection closed (stream desynced)"
-        ) from None
-    return b"".join(chunks)
+def _read_exact(sock: socket.socket, size: int) -> bytes:
+    """One blocking receive of up to ``size`` bytes.
 
-
-def read_message(sock: socket.socket) -> object:
-    """Receive and decode one message (blocking).
-
-    Any timeout after the first byte of a message has been consumed
-    closes the socket and raises :class:`ConnectionError`: a partially
-    read frame can never be resynchronized.
+    The socket's own timeout applies (``TimeoutError``; a non-blocking
+    socket raises ``BlockingIOError``).  A closed stream raises
+    :class:`ConnectionError`.  The name is the one the span table of
+    ``bench/trace.py`` wraps as the wire wait.
     """
-    (length,) = _LENGTH.unpack(_read_exact(sock, _LENGTH.size))
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte limit")
-    try:
-        framed = _read_exact(sock, length)
-    except TimeoutError:
-        # The length prefix was consumed but the body never arrived:
-        # same desync as a torn frame.
-        _kill(sock)
-        raise ConnectionError(
-            f"timed out awaiting a {length}-byte message body; "
-            f"connection closed (stream desynced)") from None
-    payload, __ = unpack_record(framed)
-    return decode_value(payload)
+    data = sock.recv(size)
+    if not data:
+        raise ConnectionError("peer closed the connection")
+    return data
+
+
+def read_message(sock: socket.socket, decoder: FrameDecoder) -> list[object]:
+    """Receive until ``decoder`` completes a message; return all it completed.
+
+    The caller owns ``decoder`` for the life of the connection, so a
+    partial frame stays buffered across calls: a timeout anywhere —
+    even mid-frame — leaves the stream aligned, and the next call on
+    the same socket picks up where this one stopped.  The messages come
+    back in arrival order; one receive may complete several (a reply
+    and the pushes behind it), and the caller must consume them all.
+    """
+    while True:
+        messages = decoder.feed(_read_exact(sock, _CHUNK))
+        if messages:
+            return messages

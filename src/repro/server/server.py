@@ -10,7 +10,7 @@ kernel refuses wait for the selector thread to flush them.
 Sessions may *pipeline*: many requests in flight at once, with responses
 matched by request id.  Per session, read-only operations (per the
 operation registry's ``read_only`` metadata) run concurrently on MVCC
-snapshots; mutations, transaction control, batches, and host methods are
+snapshots; mutations, transaction control, and host methods are
 ordered — each runs alone, in arrival order, so a pipelined session
 observes exactly the semantics of a serial one.
 
@@ -31,11 +31,12 @@ transaction the session left open is aborted — the paper's recovery
 story for "a site [that] crashes in the middle of a hypertext
 transaction".
 
-Every wire method except ``call_batch`` and the multi-graph host calls
-is derived from :data:`repro.core.operations.REGISTRY`: argument
-decoding, transaction-id resolution, invocation on the bound HAM, and
-result encoding all come from the operation table, so adding an
-operation there makes it servable with no change here.
+Every wire method except the multi-graph host calls is derived from
+:data:`repro.core.operations.REGISTRY`: argument decoding,
+transaction-id resolution, invocation on the bound HAM, and result
+encoding all come from the operation table, so adding an operation
+there makes it servable with no change here.  A client's batch is
+ordinary pipelined requests; the server has no batch method.
 
 Demons run server-side: register implementations in the registry passed
 to (or owned by) the wrapped :class:`~repro.core.ham.HAM`.
@@ -446,47 +447,10 @@ class _Session:
         handler = _DISPATCH.get(method)
         if handler is not None:
             return handler(self, params)
-        if method == "call_batch":
-            return self._call_batch(params)
         host_handler = self._HOST_METHODS.get(method)
         if host_handler is not None:
             return host_handler(self, **params)
         raise ProtocolError(f"unknown method {method!r}")
-
-    # ------------------------------------------------------------------
-    # batched dispatch: many registry operations, one round trip
-
-    def _call_batch(self, params: dict) -> list:
-        """Execute ``[[method, params], ...]`` entries in order.
-
-        Each entry reports individually: ``[True, result]`` on success,
-        ``[False, {"type", "message"}]`` on failure; a failing entry does
-        not stop the ones after it.  Only registry operations may run in
-        a batch — nesting ``call_batch`` or rebinding the session via a
-        host method mid-batch is rejected per entry.
-        """
-        calls = params.get("calls")
-        if not isinstance(calls, (list, tuple)):
-            raise ProtocolError("call_batch requires a list of calls")
-        results = []
-        for entry in calls:
-            try:
-                if (not isinstance(entry, (list, tuple))
-                        or len(entry) != 2):
-                    raise ProtocolError(
-                        "each batch entry must be [method, params]")
-                name, entry_params = entry
-                handler = _DISPATCH.get(name)
-                if handler is None:
-                    raise ProtocolError(
-                        f"operation {name!r} cannot run in a batch")
-                if not isinstance(entry_params, dict):
-                    raise ProtocolError(
-                        f"batch entry {name!r}: params must be a mapping")
-                results.append([True, handler(self, entry_params)])
-            except Exception as exc:
-                results.append([False, _marshal_error(exc)])
-        return results
 
     # ------------------------------------------------------------------
     # host methods (multi-graph servers only) — the one part of the

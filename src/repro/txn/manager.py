@@ -618,7 +618,7 @@ class TransactionManager:
         around the meta rewrite lands on one consistent snapshot+suffix
         combination.
         """
-        self._require_checkpointable()
+        self.require_checkpointable()
         self.log.append(LogRecord(
             kind=LogRecordKind.CHECKPOINT, txn_id=0,
             payload=snapshot_marker))
@@ -631,14 +631,15 @@ class TransactionManager:
         transactions must be quiesced (the HAM enforces this by taking the
         graph lock exclusively).
         """
-        self._require_checkpointable()
+        self.require_checkpointable()
         self.log.truncate()
         self.log.append(LogRecord(
             kind=LogRecordKind.CHECKPOINT, txn_id=0,
             payload=snapshot_marker))
         self.log.force()
 
-    def _require_checkpointable(self) -> None:
+    def require_checkpointable(self) -> None:
+        """Raise :class:`TransactionError` unless a checkpoint may run."""
         with self._lock:
             if self._active:
                 raise TransactionError(

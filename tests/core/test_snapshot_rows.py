@@ -24,7 +24,7 @@ from repro.core.demons import EventKind
 from repro.core.graph import GraphDirectory
 from repro.core.ham import _APPLY, HAM
 from repro.core.types import LinkPt, Protections
-from repro.errors import NeptuneError
+from repro.errors import NeptuneError, TransactionError
 from repro.replication.replica import Replica
 from repro.storage.deltas import DeltaStore, encode_script
 from repro.storage.serializer import LARGE_BYTES, encode_value
@@ -375,3 +375,40 @@ def test_wide_replica_rows_stay_exact_through_resync(tmp_path):
                 assert b"".join(store.encode_snapshot(keep_rows=True)) \
                     == _oracle(store)
                 assert fingerprint(replica.ham) == fingerprint(primary)
+
+
+def test_refused_checkpoint_writes_nothing(tmp_path):
+    # A checkpoint with a transaction in flight is refused before it
+    # encodes anything: no orphan heap record, no meta flip, no kept
+    # row replaced.  The next admitted one is exact and recovers.
+    rng = random.Random(5000)
+    project_id, path, ham = _open(tmp_path)
+    _history(ham, rng, 30)
+    _checkpoint_is_exact(ham)
+    _history(ham, rng, 30)
+    directory = ham._directory
+    with directory._open_heap() as heap:
+        heap_bytes = heap.size_bytes
+    with open(directory.meta_path, "rb") as handle:
+        meta = handle.read()
+    kept = [record._encoded for table in (ham.store.nodes, ham.store.links)
+            for record in table.values()]
+    txn = ham.begin()
+    with pytest.raises(TransactionError, match="in flight"):
+        ham.checkpoint()
+    with directory._open_heap() as heap:
+        assert heap.size_bytes == heap_bytes
+    with open(directory.meta_path, "rb") as handle:
+        assert handle.read() == meta
+    assert all(now is before for now, before in zip(
+        (record._encoded for table in (ham.store.nodes, ham.store.links)
+         for record in table.values()), kept))
+    txn.abort()
+    _checkpoint_is_exact(ham)
+    _history(ham, rng, 20)
+    expected = _committed_state(ham.store)
+    ham._log.close()  # crash: no closing checkpoint
+    ham._closed = True
+    with HAM.open_graph(project_id, path) as recovered:
+        assert _committed_state(recovered.store) == expected
+        _checkpoint_is_exact(recovered)

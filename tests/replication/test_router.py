@@ -10,7 +10,7 @@ import pytest
 from repro.core.ham import HAM
 from repro.errors import NotPrimaryError, ReplicaLagError, RetryableError
 from repro.replication.replica import Replica
-from repro.replication.router import ReplicaEndpoint, ReplicatedHAM
+from repro.replication.router import _OPS, ReplicaEndpoint, ReplicatedHAM
 from repro.server.client import RemoteHAM, RetryPolicy
 from repro.server.host import GraphHost
 from repro.server.server import HAMServer
@@ -136,6 +136,52 @@ class TestReadRouting:
                 contents = router.open_node(node, txn=txn)[0]
             assert contents == b"txn body"
             assert "begin" not in router.primary.calls
+        finally:
+            router.close()
+
+
+class TestSessionSurface:
+    """The router's own session verbs: batches, pipelines, ping, the
+    context manager, and property-kind operations."""
+
+    def test_batches_and_pipelines_run_on_the_primary(self, cluster):
+        with cluster.router(client_factory=CountingRemoteHAM) as router:
+            assert router.ping() is True
+            with router.batch() as batch:
+                first = batch.add_node()
+                second = batch.add_node()
+            with router.pipeline(max_inflight=1) as pipe:
+                stamps = [pipe.get_node_timestamp(future.result()[0])
+                          for future in (first, second)]
+            for future, stamp in zip((first, second), stamps):
+                node, time = future.result()
+                assert stamp.result() == time
+                assert cluster.ham.get_node_timestamp(node) == time
+            assert pipe.max_depth == 1
+            assert router.primary.calls == ["ping"]  # the rest pipelined
+            assert not any(endpoint.client.calls
+                           for endpoint in router._readers)
+        # Leaving the block closed every session.
+        assert router.primary._closed
+        assert all(endpoint.client._closed for endpoint in router._readers)
+
+    def test_property_operations_route_as_reads(self, cluster):
+        router = cluster.router(client_factory=CountingRemoteHAM,
+                                status_interval=30.0)
+        try:
+            cluster.await_catchup()
+            for endpoint in router._readers:
+                endpoint.refresh()
+            assert router.project_id == cluster.ham.project_id
+            replica_calls = [call for endpoint in router._readers
+                             for call in endpoint.client.calls]
+            assert "project_id" in replica_calls
+            assert "project_id" not in router.primary.calls
+            # Inside a transaction the property follows it home.
+            txn = router.begin()
+            assert router._route_target(
+                _OPS["now"], (), {"txn": txn}) is router.primary
+            txn.abort()
         finally:
             router.close()
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.ham import HAM
 from repro.errors import NodeNotFoundError, RetryableError
 from repro.server.client import RemoteHAM, RetryPolicy
-from repro.server.protocol import read_message
+from repro.server.protocol import FrameDecoder, read_message
 from repro.server.server import HAMServer
 from repro.testing import faults
 
@@ -176,44 +176,34 @@ class TestStreamDesync:
         thread.start()
         return listener
 
-    def test_partial_frame_timeout_closes_the_socket(self):
-        listener = self._half_open_server(b"\x00\x00")
+    def _read_after_stall(self, payload: bytes):
+        """Read from a server that sent ``payload`` and then stalled."""
+        listener = self._half_open_server(payload)
         try:
             sock = socket.create_connection(listener.getsockname(),
                                             timeout=0.2)
-            # Two of four length-prefix bytes arrived: the stream can
-            # never re-align, so the reader must kill the connection.
-            with pytest.raises(ConnectionError):
-                read_message(sock)
-            assert sock.fileno() == -1
-        finally:
-            listener.close()
-
-    def test_idle_timeout_keeps_the_socket_usable(self):
-        listener = self._half_open_server(b"")
-        try:
-            sock = socket.create_connection(listener.getsockname(),
-                                            timeout=0.2)
-            # No bytes consumed: a timeout here is a plain timeout, not
-            # a desync — the caller may retry on the same socket.
+            decoder = FrameDecoder()
             with pytest.raises(TimeoutError):
-                read_message(sock)
+                read_message(sock, decoder)
+            # A timeout never costs the connection: whatever part of a
+            # frame arrived waits in the decoder for the next read.
             assert sock.fileno() != -1
             sock.close()
+            return decoder
         finally:
             listener.close()
 
-    def test_partial_body_timeout_closes_the_socket(self):
+    def test_partial_prefix_timeout_keeps_the_socket(self):
+        # Two of four length-prefix bytes arrived.
+        assert len(self._read_after_stall(b"\x00\x00")) == 2
+
+    def test_idle_timeout_keeps_the_socket_usable(self):
+        # No bytes at all: a plain timeout.
+        assert len(self._read_after_stall(b"")) == 0
+
+    def test_partial_body_timeout_keeps_the_socket(self):
         # A full prefix promising 100 bytes, then only 3 arrive.
-        listener = self._half_open_server(b"\x00\x00\x00\x64abc")
-        try:
-            sock = socket.create_connection(listener.getsockname(),
-                                            timeout=0.2)
-            with pytest.raises(ConnectionError):
-                read_message(sock)
-            assert sock.fileno() == -1
-        finally:
-            listener.close()
+        assert len(self._read_after_stall(b"\x00\x00\x00\x64abc")) == 7
 
 
 class TestWalCounters:

@@ -11,6 +11,7 @@ from repro.errors import (
     NodeNotFoundError,
     ProtocolError,
     StaleVersionError,
+    SubscriptionOverflowError,
 )
 from repro.server import HAMServer, RemoteHAM, ServerConfig
 
@@ -303,3 +304,40 @@ class TestRemoteWatchPoll:
             for ____ in range(20):
                 assert watch.poll(0) is None
             assert _time.monotonic() - started < 0.25
+
+
+class TestSubscriptionVerbs:
+    def test_unsubscribe_detaches_the_feed(self, served):
+        ham, __, client = served
+        watch = client.watch()
+        status = client.subscription_status()
+        assert status["session_subscriptions"] == 1
+        assert status["active"] == 1
+        assert client.unsubscribe(watch.sub_id) is True
+        assert watch.sub_id not in client._watches
+        assert client.subscription_status()["session_subscriptions"] == 0
+        assert client.unsubscribe(watch.sub_id) is False
+        ham.add_node()  # no longer delivered
+        assert watch.poll(0.1) is None
+
+    def test_close_unsubscribes(self, served):
+        __, ___, client = served
+        watch = client.watch()
+        watch.close()
+        assert watch.sub_id not in client._watches
+        assert client.subscription_status()["active"] == 0
+        watch.close()  # idempotent
+
+    def test_cancelled_watch_is_not_resubscribed(self, served):
+        __, ___, client = served
+        watch = client.watch()
+        with client._lock:
+            client._route_push({"push": "cancel", "sub": watch.sub_id,
+                                "reason": "overflow", "dropped": 3,
+                                "message": "slow consumer"})
+        assert watch.sub_id not in client._watches
+        with pytest.raises(SubscriptionOverflowError):
+            watch.poll(0)
+        client._sock.close()  # the next call reconnects
+        assert client.ping()
+        assert client.reconnects == 1 and watch.resubscribes == 0
